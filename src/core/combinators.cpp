@@ -9,7 +9,9 @@
 namespace hem {
 
 OrModel::OrModel(ModelPtr left, ModelPtr right)
-    : left_(std::move(left)), right_(std::move(right)) {
+    : EventModel(rate_of(left) + rate_of(right)),
+      left_(std::move(left)),
+      right_(std::move(right)) {
   if (!left_ || !right_) throw std::invalid_argument("OrModel: null input model");
 }
 

@@ -1,5 +1,6 @@
 #include "core/delta_function_model.hpp"
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 
@@ -15,12 +16,20 @@ void check_monotone(const std::vector<Time>& v, const char* name) {
   }
 }
 
+/// q events per extension time p; zero when delta- reaches infinity (the
+/// stream is finite), unbounded when p == 0 (delta- stops growing).
+Rate extension_rate(const std::vector<Time>& dmin, Count events, Time time) {
+  if (dmin.empty() || is_infinite(dmin.back()) || is_infinite(time)) return Rate{};
+  return Rate::of(events, time);
+}
+
 }  // namespace
 
 DeltaFunctionModel::DeltaFunctionModel(std::vector<Time> dmin_prefix,
                                        std::vector<Time> dplus_prefix, Count extension_events,
                                        Time extension_time)
-    : dmin_(std::move(dmin_prefix)),
+    : EventModel(extension_rate(dmin_prefix, extension_events, extension_time)),
+      dmin_(std::move(dmin_prefix)),
       dplus_(std::move(dplus_prefix)),
       ext_events_(extension_events),
       ext_time_(extension_time) {
@@ -56,44 +65,25 @@ ModelPtr DeltaFunctionModel::periodic_burst(Count burst_size, Time inner_distanc
     throw std::invalid_argument("periodic_burst: invalid distances");
   if (sat_mul(inner_distance, burst_size - 1) >= outer_period)
     throw std::invalid_argument("periodic_burst: burst does not fit into the outer period");
-  // Exact distances within one hyper-period of burst_size events: the i-th
-  // and (i+n-1)-th event of the pattern.  Because the pattern is strictly
-  // periodic, delta- == delta+ and one period of values suffices.
-  std::vector<Time> prefix;
+  // Exact distances within one hyper-period of burst_size events (the
+  // pattern is strictly periodic, so one period of values suffices).  A
+  // window of n <= B events either stays inside one burst, spanning
+  // (n-1)*d, or straddles the gap between bursts exactly once, spanning
+  // (n-1)*d + (gap - d) wherever it starts; the gap may be shorter than d.
+  // n == B + 1 events always span exactly one outer period.
+  const Time gap = outer_period - inner_distance * (burst_size - 1);
+  std::vector<Time> dmin;
+  std::vector<Time> dplus;
   for (Count n = 2; n <= burst_size + 1; ++n) {
-    // n consecutive events span (n - 1) inner gaps unless they wrap the
-    // outer period boundary; minimum span keeps them within one burst where
-    // possible, maximum span wraps as early as possible.
-    if (n <= burst_size) {
-      prefix.push_back(inner_distance * (n - 1));
-    } else {
-      // n == burst_size + 1: must wrap exactly once.
-      prefix.push_back(outer_period);
+    if (n > burst_size) {
+      dmin.push_back(outer_period);
+      dplus.push_back(outer_period);
+      continue;
     }
-  }
-  std::vector<Time> dmin = prefix;
-  std::vector<Time> dplus(prefix.size());
-  // Maximum span of n events: start as late in a burst as possible so the
-  // window wraps the inter-burst gap as often as possible.  For n within
-  // one burst-worth of events the worst case spans the gap once:
-  for (Count n = 2; n <= burst_size + 1; ++n) {
-    if (n <= burst_size) {
-      // A window of n <= B events either stays inside one burst
-      // (span (n-1)*d) or straddles the inter-burst gap exactly once; a
-      // straddling window starting at in-burst index i spans
-      // T + (n - B - 1) * d independent of i.
-      dplus[static_cast<std::size_t>(n - 2)] =
-          outer_period - inner_distance * (burst_size - (n - 1));
-    } else {
-      // n == B + 1 events always span exactly one full outer period.
-      dplus[static_cast<std::size_t>(n - 2)] = outer_period;
-    }
-  }
-  // Monotonicity fix-up (the straddle formula can undershoot dmin for tiny n
-  // when inner_distance is large relative to the gap).
-  for (std::size_t i = 0; i < dplus.size(); ++i) {
-    if (dplus[i] < dmin[i]) dplus[i] = dmin[i];
-    if (i > 0 && dplus[i] < dplus[i - 1]) dplus[i] = dplus[i - 1];
+    const Time inside = inner_distance * (n - 1);
+    const Time straddling = inside + gap - inner_distance;
+    dmin.push_back(std::min(inside, straddling));
+    dplus.push_back(std::max(inside, straddling));
   }
   auto model = std::make_shared<DeltaFunctionModel>(std::move(dmin), std::move(dplus),
                                                     burst_size, outer_period);

@@ -28,6 +28,12 @@
 /// combination, task output calculation, shaping, packing) produce new nodes
 /// referencing their operands, forming a DAG.  Evaluation is lazy and
 /// memoised per node, so deeply composed models remain cheap to query.
+///
+/// Every node also carries its exact long-run rate (rate.hpp), the slope of
+/// eta+, fixed at construction from its operands' rates by the operation's
+/// closed form: SEM 1/P, OR the sum of its inputs, Omega_pa the triggering
+/// inputs plus the timer, Psi_pa on a pending input min(signal, frame), and
+/// so on.  Load checks read it in O(1); AX14 checks it against eta+.
 
 #include <atomic>
 #include <memory>
@@ -35,6 +41,7 @@
 #include <vector>
 
 #include "core/curve_cache.hpp"
+#include "core/rate.hpp"
 #include "core/time.hpp"
 
 namespace hem::rtc {
@@ -110,11 +117,22 @@ class EventModel {
   /// update function (paper Def. 9).  At least 1 for any non-empty stream.
   [[nodiscard]] Count max_simultaneous_events() const { return eta_plus(1); }
 
+  /// Exact long-run event rate: lim eta+(dt)/dt, or unbounded when eta+ is
+  /// infinite at some finite window.  Fixed at construction.
+  [[nodiscard]] const Rate& rate() const noexcept { return rate_; }
+
   /// Human-readable description, used in reports and error messages.
   [[nodiscard]] virtual std::string describe() const = 0;
 
  protected:
-  EventModel() = default;
+  /// Every subclass states its long-run rate (see `rate()`).
+  explicit EventModel(Rate rate) : rate_(rate) {}
+
+  /// An operand's rate for a constructor's initialiser list; zero for a null
+  /// operand, which the constructor body then rejects.
+  [[nodiscard]] static Rate rate_of(const ModelPtr& operand) noexcept {
+    return operand ? operand->rate() : Rate{};
+  }
 
   /// delta-(n) for n >= 2 (callee may assume n >= 2).
   [[nodiscard]] virtual Time delta_min_raw(Count n) const = 0;
@@ -139,6 +157,8 @@ class EventModel {
   // the duplicated work is benign.
   mutable AtomicCurveCache dmin_cache_;
   mutable AtomicCurveCache dplus_cache_;
+
+  const Rate rate_;
 
   // Flat compiled form (rtc/compile.hpp), owned by the node.  Published
   // once by a first-wins CAS in ensure_compiled(); queries take one acquire

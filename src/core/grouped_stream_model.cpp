@@ -7,7 +7,10 @@
 namespace hem {
 
 GroupedStreamModel::GroupedStreamModel(ModelPtr outer, Count group_size, Time spacing)
-    : outer_(std::move(outer)), group_size_(group_size), spacing_(spacing) {
+    : EventModel(rate_of(outer) * group_size),
+      outer_(std::move(outer)),
+      group_size_(group_size),
+      spacing_(spacing) {
   if (!outer_) throw std::invalid_argument("GroupedStreamModel: null outer model");
   if (group_size < 1) throw std::invalid_argument("GroupedStreamModel: group_size must be >= 1");
   if (spacing < 0) throw std::invalid_argument("GroupedStreamModel: spacing must be >= 0");

@@ -7,7 +7,7 @@
 namespace hem {
 
 IntersectionModel::IntersectionModel(ModelPtr a, ModelPtr b, Count check_horizon)
-    : a_(std::move(a)), b_(std::move(b)) {
+    : EventModel(std::min(rate_of(a), rate_of(b))), a_(std::move(a)), b_(std::move(b)) {
   if (!a_ || !b_) throw std::invalid_argument("IntersectionModel: null input model");
   for (Count n = 2; n <= check_horizon; ++n) {
     if (delta_min_raw(n) > delta_plus_raw(n))

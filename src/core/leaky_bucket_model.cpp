@@ -7,7 +7,7 @@
 namespace hem {
 
 LeakyBucketModel::LeakyBucketModel(Count burst, Time spacing)
-    : burst_(burst), spacing_(spacing) {
+    : EventModel(Rate::of(1, spacing)), burst_(burst), spacing_(spacing) {
   if (burst < 1) throw std::invalid_argument("LeakyBucketModel: burst must be >= 1");
   if (spacing <= 0) throw std::invalid_argument("LeakyBucketModel: spacing must be > 0");
 }

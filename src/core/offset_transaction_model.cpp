@@ -8,7 +8,10 @@ namespace hem {
 
 OffsetTransactionModel::OffsetTransactionModel(Time period, std::vector<Time> offsets,
                                                Time jitter)
-    : period_(period), offsets_(std::move(offsets)), jitter_(jitter) {
+    : EventModel(Rate::of(static_cast<Count>(offsets.size()), period)),
+      period_(period),
+      offsets_(std::move(offsets)),
+      jitter_(jitter) {
   if (period <= 0) throw std::invalid_argument("OffsetTransactionModel: period must be > 0");
   if (offsets_.empty())
     throw std::invalid_argument("OffsetTransactionModel: needs at least one offset");

@@ -20,8 +20,13 @@ obs::Counter& g_rec_race = obs::registry().counter("engine.cache.rec_publish_rac
 
 }  // namespace
 
+// Theta_tau keeps its input's rate; outputs also leave at least r- apart
+// (the delta'- recursion), which only binds on an overloaded producer.
 OutputModel::OutputModel(ModelPtr input, Time r_minus, Time r_plus)
-    : input_(std::move(input)), r_minus_(r_minus), r_plus_(r_plus) {
+    : EventModel(std::min(rate_of(input), Rate::of(1, r_minus))),
+      input_(std::move(input)),
+      r_minus_(r_minus),
+      r_plus_(r_plus) {
   if (!input_) throw std::invalid_argument("OutputModel: null input model");
   if (r_minus < 0 || r_plus < r_minus)
     throw std::invalid_argument("OutputModel: need 0 <= r- <= r+");

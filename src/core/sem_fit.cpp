@@ -11,14 +11,21 @@ std::shared_ptr<const StandardEventModel> fit_sem(const EventModel& model, Time 
   if (period < 0) throw std::invalid_argument("fit_sem: negative period");
   Time p = period;
   if (p == 0) {
-    const Count n = model.eta_plus(options.rate_horizon);
-    if (is_infinite_count(n))
+    const Rate& rate = model.rate();
+    if (rate.is_unbounded())
       throw AnalysisError("fit_sem: model admits unbounded bursts (" + model.describe() + ")");
-    if (n == 0)
-      throw AnalysisError("fit_sem: cannot estimate a rate for " + model.describe());
-    // Floor: a smaller period admits more events, the conservative
-    // direction for interference bounds.
-    p = std::max<Time>(1, options.rate_horizon / n);
+    // Floor of 1/rate: a smaller period admits more events, the
+    // conservative direction for interference bounds.  A finite stream
+    // (rate 0) is fitted at the average spacing of its events; the jitter
+    // below covers its bursts either way.
+    if (!rate.is_zero()) {
+      p = static_cast<Time>(std::max<std::uint64_t>(1, rate.den() / rate.num()));
+    } else {
+      Count n = 2;
+      while (n < options.horizon_events && !is_infinite(model.delta_min(n + 1))) ++n;
+      const Time span = model.delta_min(n);
+      p = is_infinite(span) ? 1 : std::max<Time>(1, span / (n - 1));
+    }
   }
 
   const Time d_min = std::min(model.delta_min(2), p);

@@ -8,9 +8,8 @@
 /// triple, losing curve information but keeping the representation closed.
 /// This module provides that lossy fit:
 ///
-///   P    - preserved from the long-run rate (the fit assumes the input has
-///          a well-defined period; for OR-combinations of periodic streams
-///          the fit uses the measured long-run rate over a horizon)
+///   P    - preserved from the long-run rate (EventModel::rate, rounded
+///          down to whole ticks for OR-combinations of periodic streams)
 ///   dmin - delta-(2)
 ///   J    - the smallest jitter such that the SEM curves bound the model's
 ///          curves on the fitted horizon:
@@ -29,14 +28,12 @@ namespace hem {
 struct SemFitOptions {
   /// Number of curve points used for the fit (n = 2 .. horizon_events).
   Count horizon_events = 256;
-  /// Horizon used to estimate the long-run period when none is supplied.
-  Time rate_horizon = 1'000'000;
 };
 
 /// Fit a SEM that conservatively bounds `model`.
-/// \param period  long-run period to use; pass 0 to estimate it from the
-///                model's eta+ over the rate horizon (rounded down, which
-///                is the conservative direction for interference).
+/// \param period  long-run period to use; pass 0 to derive it from the
+///                model's exact rate (rounded down, which is the
+///                conservative direction for interference).
 /// \throws AnalysisError if the model admits unbounded bursts (no finite
 ///         SEM can bound it) or the rate cannot be estimated.
 [[nodiscard]] std::shared_ptr<const StandardEventModel> fit_sem(const EventModel& model,

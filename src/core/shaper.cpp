@@ -9,7 +9,9 @@
 namespace hem {
 
 MinDistanceShaper::MinDistanceShaper(ModelPtr input, Time distance, Count horizon)
-    : input_(std::move(input)), distance_(distance) {
+    : EventModel(std::min(rate_of(input), Rate::of(1, distance))),
+      input_(std::move(input)),
+      distance_(distance) {
   if (!input_) throw std::invalid_argument("MinDistanceShaper: null input model");
   if (distance <= 0) throw std::invalid_argument("MinDistanceShaper: distance must be > 0");
   if (horizon < 2) throw std::invalid_argument("MinDistanceShaper: horizon must be >= 2");

@@ -6,8 +6,21 @@
 
 namespace hem {
 
+namespace {
+
+/// 1/P; with unbounded jitter only the d_min floor limits the rate.
+Rate sem_rate(Time period, Time jitter, Time d_min) {
+  if (!is_infinite(jitter)) return Rate::of(1, period);
+  return d_min > 0 ? Rate::of(1, d_min) : Rate::unbounded();
+}
+
+}  // namespace
+
 StandardEventModel::StandardEventModel(Time period, Time jitter, Time d_min)
-    : period_(period), jitter_(jitter), d_min_(d_min) {
+    : EventModel(sem_rate(period, jitter, d_min)),
+      period_(period),
+      jitter_(jitter),
+      d_min_(d_min) {
   if (period <= 0) throw std::invalid_argument("SEM: period must be positive");
   if (is_infinite(period)) throw std::invalid_argument("SEM: period must be finite");
   if (jitter < 0) throw std::invalid_argument("SEM: jitter must be non-negative");

@@ -5,7 +5,10 @@
 
 namespace hem {
 
-TraceModel::TraceModel(std::vector<Time> timestamps) : times_(std::move(timestamps)) {
+// A trace is a finite stream: eta+ saturates at its length, so its slope is
+// zero.
+TraceModel::TraceModel(std::vector<Time> timestamps)
+    : EventModel(Rate{}), times_(std::move(timestamps)) {
   std::sort(times_.begin(), times_.end());
 }
 

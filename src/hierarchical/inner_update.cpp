@@ -8,9 +8,14 @@
 
 namespace hem {
 
+// B keeps the inner rate, floored like Theta_tau by the r- serialisation.
 ResponseUpdatedInnerModel::ResponseUpdatedInnerModel(ModelPtr inner, Time r_minus, Time r_plus,
                                                      Count k)
-    : inner_(std::move(inner)), r_minus_(r_minus), r_plus_(r_plus), k_(k) {
+    : EventModel(std::min(rate_of(inner), Rate::of(1, r_minus))),
+      inner_(std::move(inner)),
+      r_minus_(r_minus),
+      r_plus_(r_plus),
+      k_(k) {
   if (!inner_) throw std::invalid_argument("ResponseUpdatedInnerModel: null inner model");
   if (r_minus < 0 || r_plus < r_minus)
     throw std::invalid_argument("ResponseUpdatedInnerModel: need 0 <= r- <= r+");

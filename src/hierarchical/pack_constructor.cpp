@@ -10,8 +10,12 @@
 
 namespace hem {
 
+// Psi_pa: a pending value is carried at most once per signal event and
+// once per frame.
 PendingSignalModel::PendingSignalModel(ModelPtr signal, ModelPtr frame)
-    : signal_(std::move(signal)), frame_(std::move(frame)) {
+    : EventModel(std::min(rate_of(signal), rate_of(frame))),
+      signal_(std::move(signal)),
+      frame_(std::move(frame)) {
   if (!signal_ || !frame_) throw std::invalid_argument("PendingSignalModel: null model");
 }
 

@@ -115,8 +115,4 @@ struct AnalysisReport {
   [[nodiscard]] std::string format() const;
 };
 
-/// Estimate the long-run event rate of a model as eta+(T)/T over a large
-/// horizon (used for utilisation reporting and overload warnings).
-[[nodiscard]] double long_run_rate(const EventModel& model, Time horizon = 1'000'000);
-
 }  // namespace hem::cpa

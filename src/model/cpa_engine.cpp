@@ -81,8 +81,6 @@ obs::Counter& g_eng_analyses_skipped = obs::registry().counter("engine.local_ana
 obs::Counter& g_eng_models_reused = obs::registry().counter("engine.models_reused");
 obs::Counter& g_eng_models_rebuilt = obs::registry().counter("engine.models_rebuilt");
 obs::Counter& g_eng_iterations = obs::registry().counter("engine.iterations");
-obs::Counter& g_eng_rate_hit = obs::registry().counter("engine.rate_memo.hit");
-obs::Counter& g_eng_rate_miss = obs::registry().counter("engine.rate_memo.miss");
 obs::Counter& g_eng_warm_seeded = obs::registry().counter("engine.warm_seeded");
 
 // The lock-free model caches publish into these process-wide probes (see
@@ -190,8 +188,6 @@ void CpaEngine::seed_from_warm() {
     st.out_key_hem = st.act_hem ? static_cast<const void*>(st.act_hem.get()) : nullptr;
     st.out_key_bcrt = st.bcrt;
     st.out_key_wcrt = st.wcrt;
-    st.rate = s->rate;
-    st.rate_key = st.act_flat.get();
     st.prev_act = st.act_flat;
     st.prev_analyzed = true;
     st.prev_bcrt = st.bcrt;
@@ -227,7 +223,6 @@ EngineSnapshot CpaEngine::make_snapshot() const {
     s.q_max = st.q_max;
     s.backlog = st.backlog;
     s.busy = st.busy;
-    s.rate = st.rate_key == st.act_flat.get() ? st.rate : long_run_rate(*st.act_flat);
     const ActivationSpec& spec = system_.activation(t);
     if (const auto* ext = std::get_if<ExternalActivation>(&spec)) {
       s.external = ext->model;
@@ -247,19 +242,6 @@ int CpaEngine::effective_jobs() const {
   if (options_.jobs > 0) return options_.jobs;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
-}
-
-double CpaEngine::cached_rate(TaskId t) {
-  TaskState& st = state_[t];
-  const void* key = st.act_flat.get();
-  if (st.rate_key != key) {
-    obs::bump(g_eng_rate_miss);
-    st.rate = long_run_rate(*st.act_flat);
-    st.rate_key = key;
-  } else {
-    obs::bump(g_eng_rate_hit);
-  }
-  return st.rate;
 }
 
 void CpaEngine::resolve_activations() {
@@ -371,26 +353,29 @@ void CpaEngine::resolve_activations() {
 
 void CpaEngine::check_resource_load() {
   const auto& tasks = system_.tasks();
+  // One pass over the tasks; a resource with an unresolved activation has
+  // no load yet.
+  std::vector<Rate> loads(system_.resources().size());
+  std::vector<char> complete(system_.resources().size(), 1);
+  for (TaskId t = 0; t < tasks.size(); ++t) {
+    const ResourceId r = tasks[t].resource;
+    if (!state_[t].act_flat)
+      complete[r] = 0;
+    else if (complete[r])
+      loads[r] = loads[r] + state_[t].act_flat->rate() * tasks[t].cet.worst;
+  }
   for (ResourceId r = 0; r < system_.resources().size(); ++r) {
-    double load = 0.0;
-    bool complete = true;
-    for (TaskId t = 0; t < tasks.size(); ++t) {
-      if (tasks[t].resource != r) continue;
-      if (!state_[t].act_flat) {
-        complete = false;
-        break;
-      }
-      load += cached_rate(t) * static_cast<double>(tasks[t].cet.worst);
-    }
-    if (!complete || load <= 1.0) continue;
+    const Rate& load = loads[r];
+    if (!complete[r] || load <= Rate::of(1, 1)) continue;
+    const std::string shown = std::to_string(load.to_double()) + " (" + load.str() + ")";
     if (options_.strict)
       throw AnalysisError("CpaEngine: resource '" + system_.resources()[r].name +
-                              "' is overloaded (load " + std::to_string(load) + " > 1)",
+                              "' is overloaded (load " + shown + " > 1)",
                           ErrorCode::kOverload);
     resource_overloaded_[r] = 1;
     resource_diag_[r] = Diagnostic{Severity::kError, DiagCode::kResourceOverload,
                                    system_.resources()[r].name,
-                                   "long-run load " + std::to_string(load) +
+                                   "long-run load " + shown +
                                        " exceeds 1; tasks receive fallback bounds",
                                    current_iteration_};
   }
@@ -909,7 +894,7 @@ AnalysisReport CpaEngine::assemble_report(int iterations, bool converged) {
     res.output = st.out_flat;
     res.hem_output = st.out_hem;
     res.status = st.status;
-    res.utilization = cached_rate(t) * static_cast<double>(tasks[t].cet.worst);
+    if (st.act_flat) res.utilization = (st.act_flat->rate() * tasks[t].cet.worst).to_double();
     if (st.has_diag)
       report.diagnostics.report(st.diag);
     else if (st.out_has_diag)

@@ -164,8 +164,6 @@ class CpaEngine {
     const void* out_key_hem = nullptr;
     Time out_key_bcrt = -1;
     Time out_key_wcrt = -1;
-    double rate = 0.0;                   ///< memoised long_run_rate(act_flat)
-    const void* rate_key = nullptr;      ///< activation node `rate` belongs to
 
     // Convergence bookkeeping: previous iteration's observable state.
     ModelPtr prev_act;
@@ -196,7 +194,6 @@ class CpaEngine {
   /// curves only until the first mismatch.
   [[nodiscard]] bool update_convergence();
 
-  [[nodiscard]] double cached_rate(TaskId t);
   [[nodiscard]] int effective_jobs() const;
   void seed_from_warm();
 

@@ -53,7 +53,8 @@ std::string DiagnosticSink::format() const {
   return os.str();
 }
 
-SporadicEnvelopeModel::SporadicEnvelopeModel(Time spacing) : spacing_(spacing) {
+SporadicEnvelopeModel::SporadicEnvelopeModel(Time spacing)
+    : EventModel(Rate::of(1, spacing)), spacing_(spacing) {
   if (spacing < 0 || is_infinite(spacing))
     throw std::invalid_argument("SporadicEnvelopeModel: need 0 <= spacing < infinity");
 }

@@ -49,7 +49,6 @@ struct EngineSnapshot {
     Count q_max = 0;
     Count backlog = 0;
     Time busy = 0;
-    double rate = 0.0;  ///< memoised long_run_rate(act_flat)
     // External nodes referenced by the activation spec, for interning.
     ModelPtr external;                  ///< ExternalActivation model, if any
     std::vector<ModelPtr> pack_sources;  ///< per packed input; null for task outputs

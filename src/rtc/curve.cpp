@@ -130,7 +130,7 @@ Time Curve::inverse(Time y) const {
   return value(lo) >= y ? lo : hi;
 }
 
-double Curve::long_run_rate() const {
+double Curve::tail_slope() const {
   return static_cast<double>(final_dy_) / static_cast<double>(final_dx_);
 }
 

@@ -77,8 +77,9 @@ class Curve {
   /// Smallest x with value(x) >= y (kTimeInfinity if never reached).
   [[nodiscard]] Time inverse(Time y) const;
 
-  /// Long-run slope as a double (for overload checks).
-  [[nodiscard]] double long_run_rate() const;
+  /// Slope of the final linear segment as a double (the curve's long-run
+  /// rate).
+  [[nodiscard]] double tail_slope() const;
 
   /// Point-wise sum.
   [[nodiscard]] Curve plus(const Curve& other) const;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <map>
 #include <random>
 #include <sstream>
 #include <stdexcept>
@@ -348,15 +347,8 @@ class DegradationOracle final : public Oracle {
     for (const cpa::Diagnostic& d : graceful.diagnostics.entries())
       if (d.code == cpa::DiagCode::kResourceOverload) engine_overload = true;
 
-    // hemlint and the engine estimate long-run load with independently
-    // quantised rate sums; exactly at the load == 1 boundary they may
-    // legitimately round to different sides, so the iff-check keeps a guard
-    // band around 1.0.
-    std::map<std::string, double> load;
-    for (const cpa::TaskResult& task : graceful.tasks) load[task.resource] += task.utilization;
-    for (const auto& [resource, value] : load)
-      if (value > 0.999 && value < 1.001) return;
-
+    // hemlint and the engine sum the same exact rates (EventModel::rate), so
+    // the check is an exact iff, right up to load == 1.
     if (lint_overload != engine_overload) {
       out.push_back({name(), "hl001-iff-overload",
                      std::string("hemlint HL001 ") + (lint_overload ? "fired" : "did not fire") +
@@ -373,6 +365,7 @@ class DegradationOracle final : public Oracle {
 /// delta- decreasing in n (violates AX1, and AX3 where it crosses delta+).
 class BrokenAx1Model final : public EventModel {
  public:
+  BrokenAx1Model() : EventModel(Rate::unbounded()) {}
   [[nodiscard]] std::string describe() const override { return "Broken(ax1)"; }
 
  protected:
@@ -385,6 +378,7 @@ class BrokenAx1Model final : public EventModel {
 /// delta- above delta+ everywhere (violates AX3).
 class BrokenAx3Model final : public EventModel {
  public:
+  BrokenAx3Model() : EventModel(Rate::of(1, 200)) {}
   [[nodiscard]] std::string describe() const override { return "Broken(ax3)"; }
 
  protected:
@@ -396,6 +390,7 @@ class BrokenAx3Model final : public EventModel {
 /// (violates AX4, and the AX7 pseudo-inverse relation).
 class BrokenEtaPlusModel final : public EventModel {
  public:
+  BrokenEtaPlusModel() : EventModel(Rate::of(1, 100)) {}
   [[nodiscard]] std::string describe() const override { return "Broken(eta-plus)"; }
 
  protected:
@@ -409,6 +404,7 @@ class BrokenEtaPlusModel final : public EventModel {
 /// inside the horizon (violates AX12).
 class BrokenCompileEtaModel final : public EventModel {
  public:
+  BrokenCompileEtaModel() : EventModel(Rate::of(1, 100)) {}
   [[nodiscard]] std::string describe() const override { return "Broken(compile-eta)"; }
 
  protected:
@@ -421,6 +417,7 @@ class BrokenCompileEtaModel final : public EventModel {
 /// overtakes the true curve beyond the horizon (violates AX13).
 class BrokenCompileDminModel final : public EventModel {
  public:
+  BrokenCompileDminModel() : EventModel(Rate::unbounded()) {}
   [[nodiscard]] std::string describe() const override { return "Broken(compile-dmin)"; }
 
  protected:
@@ -432,6 +429,7 @@ class BrokenCompileDminModel final : public EventModel {
 /// extension undershoots the true curve beyond the horizon (violates AX13).
 class BrokenCompileDplusModel final : public EventModel {
  public:
+  BrokenCompileDplusModel() : EventModel(Rate::of(1, 1)) {}
   [[nodiscard]] std::string describe() const override { return "Broken(compile-dplus)"; }
 
  protected:

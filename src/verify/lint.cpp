@@ -8,7 +8,6 @@
 #include <variant>
 
 #include "daemon/protocol.hpp"
-#include "model/analysis_report.hpp"
 #include "model/system.hpp"
 #include "model/textual_config.hpp"
 
@@ -163,13 +162,16 @@ class Linter {
 
   // ---- HL001 --------------------------------------------------------------
   // Long-run activation rates propagate through the graph without running
-  // the engine: a task's output preserves its activation rate (Theta_tau),
-  // OR sums, AND fires once per token set, a packed frame once per
-  // triggering event or timer tick, a pending inner stream at most at the
-  // signal's own rate (and never above the frame rate).
+  // the engine, by the closed forms the event models fix at construction
+  // (EventModel::rate): a source or timer has its own rate, a task's output
+  // keeps its activation rate (Theta_tau), OR sums, AND fires once per
+  // common period, a packed frame once per triggering event or timer tick,
+  // and a pending inner stream at most at min(signal, frame) (Psi_pa).  The
+  // sum of C+ * r per resource is compared with 1 exactly, as the engine's
+  // overload pre-check does.
   void check_utilization() {
     const std::size_t n = tasks_.size();
-    std::vector<std::optional<double>> rate(n);
+    std::vector<std::optional<Rate>> rate(n);
     for (std::size_t round = 0; round <= n; ++round) {
       for (TaskId t = 0; t < n; ++t) {
         if (rate[t].has_value()) continue;
@@ -178,7 +180,7 @@ class Linter {
     }
 
     for (std::size_t r = 0; r < parsed_.system.resources().size(); ++r) {
-      double load = 0.0;
+      Rate load;
       bool complete = true;
       for (TaskId t = 0; t < n; ++t) {
         if (tasks_[t].resource != r) continue;
@@ -186,38 +188,41 @@ class Linter {
           complete = false;  // cycle upstream; HL006/HL007 already fired
           break;
         }
-        load += *rate[t] * static_cast<double>(tasks_[t].cet.worst);
+        load = load + *rate[t] * tasks_[t].cet.worst;
       }
-      if (!complete || load <= 1.0 + 1e-9) continue;
+      if (!complete || load <= Rate::of(1, 1)) continue;
       const std::string& name = parsed_.system.resources()[r].name;
       const auto loc = parsed_.index.resources.find(name);
       emit(LintSeverity::kError,
            loc == parsed_.index.resources.end() ? SourceLoc{} : loc->second, "HL001",
-           "resource '" + name + "' long-run utilization " + fixed2(load) +
-               " exceeds 1: the busy window diverges and no response-time bound exists");
+           "resource '" + name + "' long-run utilization " + fixed2(load.to_double()) + " (" +
+               load.str() +
+               ") exceeds 1: the busy window diverges and no response-time bound exists");
     }
   }
 
-  [[nodiscard]] std::optional<double> activation_rate(
-      TaskId t, const std::vector<std::optional<double>>& rate) const {
+  [[nodiscard]] std::optional<Rate> activation_rate(
+      TaskId t, const std::vector<std::optional<Rate>>& rate) const {
     const ActivationSpec& spec = parsed_.system.activation(t);
     if (const auto* ext = std::get_if<cpa::ExternalActivation>(&spec))
-      return model_rate(ext->model);
-    if (const auto* out = std::get_if<cpa::TaskOutputActivation>(&spec))
-      return sum_rates(out->producers, rate);
+      return ext->model->rate();
+    if (const auto* out = std::get_if<cpa::TaskOutputActivation>(&spec)) {
+      Rate sum;
+      for (const TaskId p : out->producers) {
+        if (!rate[p].has_value()) return std::nullopt;
+        sum = sum + *rate[p];
+      }
+      return sum;
+    }
     if (const auto* land = std::get_if<cpa::AndActivation>(&spec))
-      return land->period > 0 ? std::optional<double>(1.0 / static_cast<double>(land->period))
-                              : std::nullopt;
+      return land->period > 0 ? std::optional<Rate>(Rate::of(1, land->period)) : std::nullopt;
     if (const auto* packed = std::get_if<cpa::PackedActivation>(&spec)) {
-      double sum = packed->timer ? model_rate(packed->timer) : 0.0;
+      Rate sum = packed->timer ? packed->timer->rate() : Rate{};
       for (const auto& in : packed->inputs) {
         if (in.coupling != SignalCoupling::kTriggering) continue;
-        if (const auto* task = std::get_if<TaskId>(&in.source)) {
-          if (!rate[*task].has_value()) return std::nullopt;
-          sum += *rate[*task];
-        } else {
-          sum += model_rate(std::get<ModelPtr>(in.source));
-        }
+        const std::optional<Rate> signal = input_rate(in.source, rate);
+        if (!signal.has_value()) return std::nullopt;
+        sum = sum + *signal;
       }
       return sum;
     }
@@ -227,41 +232,23 @@ class Linter {
       if (frame == nullptr || unpack->index >= frame->inputs.size()) return std::nullopt;
       if (!rate[unpack->frame_task].has_value()) return std::nullopt;
       const auto& in = frame->inputs[unpack->index];
-      double signal = 0.0;
-      if (const auto* task = std::get_if<TaskId>(&in.source)) {
-        if (!rate[*task].has_value()) return std::nullopt;
-        signal = *rate[*task];
-      } else {
-        signal = model_rate(std::get<ModelPtr>(in.source));
-      }
+      const std::optional<Rate> signal = input_rate(in.source, rate);
+      if (!signal.has_value()) return std::nullopt;
       // A triggering signal's inner stream is the signal itself; a pending
       // signal is carried at most once per frame.
       return in.coupling == SignalCoupling::kTriggering
-                 ? signal
-                 : std::min(signal, *rate[unpack->frame_task]);
+                 ? *signal
+                 : std::min(*signal, *rate[unpack->frame_task]);
     }
     return std::nullopt;
   }
 
-  [[nodiscard]] static std::optional<double> sum_rates(
-      const std::vector<TaskId>& producers, const std::vector<std::optional<double>>& rate) {
-    double sum = 0.0;
-    for (const TaskId p : producers) {
-      if (!rate[p].has_value()) return std::nullopt;
-      sum += *rate[p];
-    }
-    return sum;
-  }
-
-  [[nodiscard]] static double model_rate(const ModelPtr& model) {
-    // Lower the node first: packed frames and unpacked inner streams can
-    // reference one external source several times, and the compiled form
-    // (rtc/compile.hpp) answers each eta query of the rate estimate with a
-    // flat binary search instead of a galloping DAG inversion.  Queries
-    // beyond the compiled horizon fall back to the lazy DAG, so the rate is
-    // bit-identical to the uncompiled evaluation.
-    model->ensure_compiled();
-    return cpa::long_run_rate(*model);
+  /// Rate of a pack input: a task's activation rate, or a source's own.
+  [[nodiscard]] static std::optional<Rate> input_rate(
+      const std::variant<TaskId, ModelPtr>& source,
+      const std::vector<std::optional<Rate>>& rate) {
+    if (const auto* task = std::get_if<TaskId>(&source)) return rate[*task];
+    return std::get<ModelPtr>(source)->rate();
   }
 
   // ---- HL002 --------------------------------------------------------------

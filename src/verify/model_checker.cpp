@@ -136,6 +136,69 @@ void ModelChecker::check_model(const EventModel& model, const std::string& path)
              "eta-(delta+(" + std::to_string(n) + ")-1=" + std::to_string(dp - 1) +
                  ")=" + count_str(em1) + " > " + std::to_string(n - 2));
   }
+
+  check_rate(model, id, samples);
+}
+
+void ModelChecker::check_rate(const EventModel& model, const std::string& id,
+                              const std::set<Time>& samples) {
+  /// Doublings of the sweep past the widest sample.  An excess
+  /// eta+(dt) - r * dt that still grows by more than the stream's burst
+  /// budget eta+(base) over the last doubling exposes a rate short of the
+  /// slope by roughly 2^-(kRateSweep - 1) of it or more.
+  constexpr int kRateSweep = 10;
+  const Rate r = model.rate();
+  const Time base = *samples.rbegin();
+  std::vector<Time> probes(samples.begin(), samples.end());
+  for (int j = 1; j <= kRateSweep; ++j) probes.push_back(sat_mul(base, Count{1} << j));
+
+  const std::string rate_str = "rate " + r.str();
+  std::vector<Count> sweep;  // eta+ at base * 2^j, j = 0..kRateSweep
+  bool reached_infinity = false;
+  for (const Time dt : probes) {
+    if (is_infinite(dt)) break;
+    const Count ep = model.eta_plus(dt);
+    if (is_infinite_count(ep)) {
+      reached_infinity = true;
+      // A finite rate with eta+ unbounded at a finite window under-states
+      // it, unless the window merely holds more events than the generic
+      // inversion searches (kEtaSearchCeiling).
+      if (!r.is_unbounded() && r * dt < Rate::of(kEtaSearchCeiling / 2, 1))
+        record("AX14", id, dt,
+               "eta+(" + std::to_string(dt) + ")=inf but the " + rate_str +
+                   " is finite (r*dt=" + (r * dt).str() + ")");
+      break;
+    }
+    if (dt >= base) sweep.push_back(ep);
+    if (!r.is_unbounded() && Rate::of(ep, dt) < r)
+      record("AX14", id, dt,
+             rate_str + " exceeds eta+(" + std::to_string(dt) + ")/" + std::to_string(dt) +
+                 "=" + count_str(ep) + "/" + std::to_string(dt) +
+                 ": an overload check on the rate would reject loads the curves admit");
+  }
+  if (r.is_unbounded()) {
+    if (!reached_infinity)
+      record("AX14", id, probes.back(),
+             rate_str + " but eta+(" + std::to_string(probes.back()) +
+                 ")=" + count_str(model.eta_plus(probes.back())) + " is finite");
+    return;
+  }
+  if (sweep.size() != static_cast<std::size_t>(kRateSweep) + 1) return;
+
+  const auto excess = [&](std::size_t j) {
+    const Time dt = sat_mul(base, Count{1} << j);
+    return static_cast<long double>(sweep[j]) - static_cast<long double>(r.num()) *
+                                                    static_cast<long double>(dt) /
+                                                    static_cast<long double>(r.den());
+  };
+  const long double grew = excess(kRateSweep) - excess(kRateSweep - 1);
+  if (grew > static_cast<long double>(sweep.front()))
+    record("AX14", id, sat_mul(base, Count{1} << kRateSweep),
+           "eta+(dt) - r*dt grew by " + std::to_string(static_cast<double>(grew)) +
+               " over the last doubling to dt=" +
+               std::to_string(sat_mul(base, Count{1} << kRateSweep)) + ", above eta+(" +
+               std::to_string(base) + ")=" + count_str(sweep.front()) + ": the " + rate_str +
+               " under-states the slope of eta+");
 }
 
 void ModelChecker::check_hierarchical(const HierarchicalEventModel& hem, const std::string& path,

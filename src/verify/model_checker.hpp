@@ -34,10 +34,16 @@
 ///   AX13 compiled-curve conservativeness: the curve pair emitted by the
 ///        lowering bounds the lazy DAG at every probed n, including beyond
 ///        the compiled horizon (lower curve <= delta-, upper curve >= delta+)
+///   AX14 rate exactness (core/rate.hpp): the structural rate r is the slope
+///        of eta+, so r * dt <= eta+(dt) at every probe (no false overload)
+///        and eta+(dt) - r * dt stays bounded over a doubling sweep of dt
+///        (r never under-states the slope); an unbounded r needs eta+ to be
+///        infinite at some probed window
 ///
 /// Violations are *reported*, not thrown; see contracts.hpp for the
 /// throwing HEM_VERIFY construction-time wrappers.
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -61,7 +67,7 @@ struct CheckerOptions {
   /// Largest n probed on the delta curves (and used to derive eta sample
   /// points).  Checks are O(horizon) delta queries + O(horizon) eta queries.
   Count horizon = 64;
-  /// Probe the eta functions (AX4-AX8).  Costs a galloping search per
+  /// Probe the eta functions (AX4-AX8, AX14).  Costs a galloping search per
   /// sample; switched off by the cheap construction-time contracts.
   bool check_eta = true;
 };
@@ -73,7 +79,7 @@ class ModelChecker {
  public:
   explicit ModelChecker(CheckerOptions options = {}) : options_(options) {}
 
-  /// Check AX1-AX8 on one flat model.  `path` names the model in reports
+  /// Check AX1-AX8 and AX14 on one flat model.  `path` names the model in reports
   /// (e.g. "T3.activation"); the model's describe() is appended.
   void check_model(const EventModel& model, const std::string& path);
 
@@ -111,6 +117,11 @@ class ModelChecker {
  private:
   void record(const std::string& axiom, const std::string& model, Count witness,
               std::string detail);
+
+  /// AX14 over the eta sample points of check_model plus a doubling sweep
+  /// past the widest of them.
+  void check_rate(const EventModel& model, const std::string& id,
+                  const std::set<Time>& samples);
 
   CheckerOptions options_;
   std::vector<AxiomViolation> violations_;

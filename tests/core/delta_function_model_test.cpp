@@ -89,6 +89,19 @@ TEST(PeriodicBurstTest, SingleEventBurstIsPeriodic) {
   EXPECT_TRUE(models_equal(*m, *p, 40));
 }
 
+TEST(PeriodicBurstTest, GapShorterThanInnerDistanceBoundsDeltaMin) {
+  // Bursts of 2 events 10 apart every 13 ticks: 0, 10, 13, 23, 26, ...  The
+  // gap between bursts (3) is the closest pair, and the rate is 2/13.
+  const auto m = DeltaFunctionModel::periodic_burst(2, 10, 13);
+  EXPECT_EQ(m->delta_min(2), 3);
+  EXPECT_EQ(m->delta_plus(2), 10);
+  EXPECT_EQ(m->delta_min(3), 13);
+  EXPECT_EQ(m->delta_min(4), 16);
+  EXPECT_EQ(m->delta_plus(4), 23);
+  EXPECT_EQ(m->rate(), Rate::of(2, 13));
+  EXPECT_EQ(m->eta_plus(10), 2);  // e.g. {10, 13}; 13 - 0 and 23 - 10 are too wide
+}
+
 TEST(PeriodicBurstTest, RejectsOversizedBurst) {
   EXPECT_THROW(DeltaFunctionModel::periodic_burst(3, 60, 100), std::invalid_argument);
   EXPECT_THROW(DeltaFunctionModel::periodic_burst(0, 10, 100), std::invalid_argument);

@@ -12,6 +12,7 @@ namespace {
 // to the infinity sentinel instead of looping forever.
 class DegenerateBurstModel final : public EventModel {
  public:
+  DegenerateBurstModel() : EventModel(Rate::unbounded()) {}
   [[nodiscard]] std::string describe() const override { return "burst"; }
 
  protected:

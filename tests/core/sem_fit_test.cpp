@@ -6,6 +6,7 @@
 #include "core/delta_function_model.hpp"
 #include "core/errors.hpp"
 #include "core/output_model.hpp"
+#include "core/trace_model.hpp"
 
 namespace hem {
 namespace {
@@ -32,8 +33,18 @@ TEST(SemFitTest, InertDminFitsEquivalentCurves) {
 TEST(SemFitTest, PeriodEstimatedFromRate) {
   const auto original = StandardEventModel::periodic(250);
   const auto fitted = fit_sem(*original);
-  // Estimation floors: ~1e6 / 4000 events.
-  EXPECT_NEAR(static_cast<double>(fitted->period()), 250.0, 1.0);
+  // The exact rate 1/250 gives the period back unrounded.
+  EXPECT_EQ(fitted->period(), 250);
+}
+
+TEST(SemFitTest, FiniteTraceIsFittedAtItsAverageSpacing) {
+  // A trace has rate 0 (finitely many events); the fit uses the average
+  // spacing 100 / 3 and covers the burst at the start with jitter.
+  const TraceModel trace({0, 10, 20, 100});
+  const auto fitted = fit_sem(trace);
+  EXPECT_EQ(fitted->period(), 33);
+  for (Time dt = 1; dt <= 500; dt += 7)
+    EXPECT_GE(fitted->eta_plus(dt), trace.eta_plus(dt)) << "dt=" << dt;
 }
 
 TEST(SemFitTest, FitBoundsBurstModel) {
@@ -91,6 +102,7 @@ TEST(SemFitTest, Errors) {
   // Unbounded burst cannot be fitted.
   class Burst final : public EventModel {
    public:
+    Burst() : EventModel(Rate::unbounded()) {}
     [[nodiscard]] std::string describe() const override { return "burst"; }
 
    protected:

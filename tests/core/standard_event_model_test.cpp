@@ -85,7 +85,8 @@ TEST(StandardEventModelTest, DescribeMentionsParameters) {
 
 class InversionShim final : public EventModel {
  public:
-  explicit InversionShim(ModelPtr inner) : inner_(std::move(inner)) {}
+  explicit InversionShim(ModelPtr inner)
+      : EventModel(inner->rate()), inner_(std::move(inner)) {}
   [[nodiscard]] std::string describe() const override { return "shim"; }
 
  protected:

@@ -58,7 +58,8 @@ const char* kTinyConfig2 =
 
 // Matches examples/divergent_fixpoint.hemcpa: load 1 + 3.3e-10, linear
 // busy-window divergence for ~3e9 fixpoint steps once the overload
-// pre-check and default busy-window budgets are lifted.
+// pre-check (which sees the exact load 3000000001/3000000000 > 1, as does
+// HL001) and default busy-window budgets are lifted.
 const char* kDivergentConfig =
     "resource R spp\n"
     "source s periodic period=3000000000\n"

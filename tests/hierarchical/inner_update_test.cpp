@@ -53,6 +53,7 @@ TEST(InnerUpdateTest, InfiniteDeltaPlusStaysInfinite) {
   // into a finite value.
   class InfPlus final : public EventModel {
    public:
+    InfPlus() : EventModel(Rate::of(1, 100)) {}
     [[nodiscard]] std::string describe() const override { return "infplus"; }
 
    protected:

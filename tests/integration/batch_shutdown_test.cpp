@@ -29,8 +29,10 @@ namespace {
 
 namespace fs = std::filesystem;
 
-// Matches examples/divergent_fixpoint.hemcpa — only a watchdog or a
-// shutdown cancel stops it once the fixpoint budgets are lifted.
+// Matches examples/divergent_fixpoint.hemcpa — load 1 + 3.3e-10, which the
+// exact overload pre-check would reject, hence overload_check=off; only a
+// watchdog or a shutdown cancel stops it once the fixpoint budgets are
+// lifted.
 const char* kDivergentConfig =
     "resource R spp\n"
     "source s periodic period=3000000000\n"

@@ -146,6 +146,7 @@ TEST(CsvTest, DeltaCsvPrintsInfinity) {
   std::ostringstream os;
   class InfPlus final : public EventModel {
    public:
+    InfPlus() : EventModel(Rate::of(1, 10)) {}
     [[nodiscard]] std::string describe() const override { return "x"; }
 
    protected:

@@ -20,21 +20,28 @@ TEST(AnalysisReportTest, TaskLookupThrowsForUnknown) {
   EXPECT_THROW((void)report.task("unknown"), std::invalid_argument);
 }
 
-TEST(AnalysisReportTest, LongRunRateOfPeriodicStream) {
+TEST(AnalysisReportTest, RateOfPeriodicStreamIsExact) {
   const auto m = StandardEventModel::periodic(100);
-  EXPECT_NEAR(long_run_rate(*m), 0.01, 0.0001);
+  EXPECT_EQ(m->rate(), Rate::of(1, 100));
+  EXPECT_EQ(m->rate().to_double(), 0.01);
 }
 
-TEST(AnalysisReportTest, LongRunRateOfBurstyStreamIsInfinite) {
-  class Burst final : public EventModel {
-   public:
-    [[nodiscard]] std::string describe() const override { return "burst"; }
+TEST(AnalysisReportTest, RateOfBurstyStreamIsUnbounded) {
+  // Unbounded jitter and no minimum distance: eta+ is infinite at every
+  // window, so the stream loads any resource beyond capacity.
+  const auto m = StandardEventModel::sporadic(100, kTimeInfinity, 0);
+  EXPECT_TRUE(m->rate().is_unbounded());
+  EXPECT_TRUE(std::isinf(m->rate().to_double()));
+}
 
-   protected:
-    [[nodiscard]] Time delta_min_raw(Count) const override { return 0; }
-    [[nodiscard]] Time delta_plus_raw(Count) const override { return 0; }
-  };
-  EXPECT_TRUE(std::isinf(long_run_rate(Burst{})));
+TEST(AnalysisReportTest, UtilizationIsRateTimesWcet) {
+  // P = 3, C = 1: the report shows exactly 1/3, not a horizon sample of it.
+  System sys;
+  const auto cpu = sys.add_resource({"cpu", Policy::kSppPreemptive});
+  const auto t = sys.add_task({"t", cpu, 1, sched::ExecutionTime(1)});
+  sys.activate_external(t, StandardEventModel::periodic(3));
+  const AnalysisReport report = CpaEngine(sys).run();
+  EXPECT_EQ(report.task("t").utilization, 1.0 / 3.0);
 }
 
 TEST(AnalysisReportTest, NonConvergenceNamesUnresolvedTasks) {

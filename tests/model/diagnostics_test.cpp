@@ -17,6 +17,7 @@ ModelPtr periodic(Time p) { return StandardEventModel::periodic(p); }
 /// Degenerate stream with unbounded simultaneity (delta == 0 everywhere).
 class UnboundedBurst final : public EventModel {
  public:
+  UnboundedBurst() : EventModel(Rate::unbounded()) {}
   [[nodiscard]] std::string describe() const override { return "unbounded-burst"; }
 
  protected:

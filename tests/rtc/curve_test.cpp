@@ -47,7 +47,7 @@ TEST(CurveTest, PlusAddsPointwise) {
     EXPECT_NEAR(static_cast<double>(s.value(x)),
                 static_cast<double>(a.value(x) + b.value(x)), 1.0)
         << x;
-  EXPECT_DOUBLE_EQ(s.long_run_rate(), 0.75);
+  EXPECT_DOUBLE_EQ(s.tail_slope(), 0.75);
 }
 
 TEST(CurveTest, MinusClampedNeverNegative) {
@@ -127,7 +127,7 @@ TEST(CurveTest, DeconvolutionIsOutputArrival) {
   const Curve out = alpha.min_plus_deconv(beta);
   EXPECT_EQ(out.value(0), 14);
   // Long-run rate preserved.
-  EXPECT_DOUBLE_EQ(out.long_run_rate(), alpha.long_run_rate());
+  EXPECT_DOUBLE_EQ(out.tail_slope(), alpha.tail_slope());
   // Brute force cross-check.
   for (Time x = 0; x <= 100; x += 5) {
     Time brute = 0;

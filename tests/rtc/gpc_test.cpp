@@ -28,7 +28,7 @@ TEST(GpcTest, RemainingServiceFeedsLowerPriority) {
   const auto hp = StandardEventModel::periodic(10);
   const auto r = greedy_processing(upper_arrival_from(*hp), full_service(), 3);
   // Remaining service: ~7 time units per 10.
-  EXPECT_NEAR(r.remaining_service.long_run_rate(), 0.7, 0.05);
+  EXPECT_NEAR(r.remaining_service.tail_slope(), 0.7, 0.05);
   EXPECT_EQ(r.remaining_service.value(0), 0);
 }
 
@@ -43,7 +43,7 @@ TEST(GpcTest, OutputArrivalAtMostShiftedInput) {
     // in the same window minus what is still queued (sanity: >= alpha(x) - 1).
     EXPECT_GE(r.output_arrival.value(x), alpha.value(x) - 1) << x;
   }
-  EXPECT_DOUBLE_EQ(r.output_arrival.long_run_rate(), alpha.long_run_rate());
+  EXPECT_DOUBLE_EQ(r.output_arrival.tail_slope(), alpha.tail_slope());
 }
 
 TEST(GpcTest, OverloadThrows) {

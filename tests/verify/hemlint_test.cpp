@@ -238,6 +238,35 @@ activate T2 from=T1
   EXPECT_NE(d->message.find("CPU2"), std::string::npos);
 }
 
+TEST(Hemlint, HL001QuietAtExactlyFullLoad) {
+  // P = 3, C = 3: utilization exactly 1 is not an overload (the engine
+  // converges with R+ = 3), so HL001 must stay quiet.
+  const auto result = lint(R"(
+resource CPU spp
+source s periodic period=3
+task T resource=CPU priority=1 cet=3
+activate T from=s
+)");
+  ASSERT_TRUE(result.parse_ok);
+  EXPECT_TRUE(result.diagnostics.empty()) << dump(result);
+  EXPECT_EQ(lint_exit_code(result, /*werror=*/true), 0);
+}
+
+TEST(Hemlint, HL001FiresJustAboveFullLoad) {
+  // C = P + 1 at P = 3e9: load 1 + 3.3e-10, exactly above 1 with no
+  // tolerance band; the message shows the exact fraction.
+  const auto result = lint(R"(
+resource R spp
+source s periodic period=3000000000
+task H resource=R priority=1 cet=3000000001
+activate H from=s
+)");
+  ASSERT_TRUE(result.parse_ok);
+  const Diagnostic* d = find(result, "HL001");
+  ASSERT_NE(d, nullptr) << dump(result);
+  EXPECT_NE(d->message.find("3000000001/3000000000"), std::string::npos) << d->message;
+}
+
 TEST(Hemlint, PendingUnpackRateIsCappedByFrameRate) {
   // s_slow (period 1000) pends into a frame timed at period 10: the
   // receiver is charged the SIGNAL rate (1/1000), not the frame rate —

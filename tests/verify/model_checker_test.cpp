@@ -3,8 +3,8 @@
 //
 //  * every EventModel subclass, built with randomized-but-seeded parameters
 //    (fixed seeds in the source, no wall-clock entropy), satisfies all
-//    axioms AX1-AX8 — plus AX9 on pack outputs and AX10/AX11 on inner
-//    updates — with zero violations;
+//    axioms AX1-AX8 and the rate axiom AX14 — plus AX9 on pack outputs and
+//    AX10/AX11 on inner updates — with zero violations;
 //  * a deliberately broken mock model makes every axiom id fire;
 //  * the HEM_VERIFY construction-time contracts throw ContractViolation on
 //    broken inputs (the enforce_* functions are always linked; only the
@@ -100,6 +100,11 @@ TEST(ModelCheckerProperty, AllSubclassesSatisfyAllAxioms) {
     const Time outer_period = (burst_size - 1) * inner + rnd.range(1, 500);
     const auto burst = DeltaFunctionModel::periodic_burst(burst_size, inner, outer_period);
     expect_clean(*burst, "burst");
+    // A gap between bursts shorter than the inner distance (AX14 caught
+    // delta-(2) ignoring it).
+    expect_clean(*DeltaFunctionModel::periodic_burst(burst_size + 1, inner + 2,
+                                                     burst_size * (inner + 2) + 1),
+                 "burst-short-gap");
 
     // LeakyBucketModel.
     expect_clean(LeakyBucketModel(rnd.range(1, 8), rnd.range(1, 100)), "leaky");
@@ -156,7 +161,7 @@ TEST(ModelCheckerProperty, AllSubclassesSatisfyAllAxioms) {
   }
 }
 
-// AX1-AX13 sweep over whole analysed systems: every per-task model the
+// AX1-AX14 sweep over whole analysed systems: every per-task model the
 // engine publishes (activation, output, hierarchical frame output) from 10
 // seeded synth systems — half of them in the packed/hierarchical regime —
 // must satisfy every axiom, both lazily and after compilation.
@@ -256,13 +261,33 @@ class BrokenModel final : public EventModel {
     kEtaMinusNonMonotone, // AX5
     kEtaMinusTooLarge,    // AX6 + AX8
     kEtaPlusTooSmall,     // AX7
+    kRateTooHigh,         // AX14: r * dt > eta+(dt)
+    kRateTooLow,          // AX14: eta+(dt) - r * dt keeps growing
+    kRateUnboundedWrongly,  // AX14: unbounded r, finite eta+
   };
 
-  explicit BrokenModel(Mode mode) : mode_(mode) {}
+  explicit BrokenModel(Mode mode) : EventModel(rate_for(mode)), mode_(mode) {}
 
   [[nodiscard]] std::string describe() const override { return "Broken"; }
 
  protected:
+  /// The periodic-10 floor has slope 1/10; the broken delta- modes reach 0
+  /// (decreasing or flat), i.e. unbounded eta+.
+  static Rate rate_for(Mode mode) {
+    switch (mode) {
+      case Mode::kDminDecreasing:
+      case Mode::kDplusDecreasing:
+      case Mode::kRateUnboundedWrongly:
+        return Rate::unbounded();
+      case Mode::kRateTooHigh:
+        return Rate::of(1, 5);
+      case Mode::kRateTooLow:
+        return Rate::of(1, 20);
+      default:
+        return Rate::of(1, 10);
+    }
+  }
+
   [[nodiscard]] Time delta_min_raw(Count n) const override {
     switch (mode_) {
       case Mode::kDminDecreasing:
@@ -357,6 +382,25 @@ TEST(ModelCheckerNegative, EtaPlusBelowPseudoInverseFiresAX7) {
   EXPECT_TRUE(fired(checker, "AX7")) << checker.format();
 }
 
+TEST(ModelCheckerNegative, RateAboveSlopeFiresAX14) {
+  const auto checker = check_broken(BrokenModel::Mode::kRateTooHigh);
+  EXPECT_TRUE(fired(checker, "AX14")) << checker.format();
+  ASSERT_EQ(checker.violations().size(), 1u) << checker.format();
+  EXPECT_NE(checker.violations().front().detail.find("exceeds eta+"), std::string::npos);
+}
+
+TEST(ModelCheckerNegative, RateBelowSlopeFiresAX14) {
+  const auto checker = check_broken(BrokenModel::Mode::kRateTooLow);
+  ASSERT_EQ(checker.violations().size(), 1u) << checker.format();
+  EXPECT_NE(checker.violations().front().detail.find("under-states"), std::string::npos);
+}
+
+TEST(ModelCheckerNegative, UnboundedRateOfBoundedStreamFiresAX14) {
+  const auto checker = check_broken(BrokenModel::Mode::kRateUnboundedWrongly);
+  ASSERT_EQ(checker.violations().size(), 1u) << checker.format();
+  EXPECT_NE(checker.violations().front().detail.find("is finite"), std::string::npos);
+}
+
 TEST(ModelCheckerNegative, InnerFasterThanOuterFiresAX9) {
   // A direct (checker-bypassing) HEM construction whose inner stream emits
   // 10x faster than its outer stream — impossible for a subsequence.
@@ -430,7 +474,9 @@ class BrokenCompileModel final : public EventModel {
  public:
   enum class Mode { kBrokenLazyEta, kSubadditiveDmin, kSuperadditiveDplus };
 
-  explicit BrokenCompileModel(Mode mode) : mode_(mode) {}
+  explicit BrokenCompileModel(Mode mode)
+      : EventModel(mode == Mode::kSubadditiveDmin ? Rate::unbounded() : Rate::of(1, 10)),
+        mode_(mode) {}
 
   [[nodiscard]] std::string describe() const override { return "BrokenCompile"; }
 
