@@ -9,7 +9,7 @@
 ///
 ///   {
 ///     "engine_scaling": { ... },
-///     "algebra_cost":   { ... }
+///     "<other bench>":  { ... }
 ///   }
 ///
 /// `merge_json_section` is a depth-1 merge: it re-reads the file, replaces

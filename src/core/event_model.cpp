@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/obs.hpp"
-#include "rtc/compile.hpp"
 
 namespace hem {
 
@@ -34,41 +33,7 @@ void publish(AtomicCurveCache& cache, std::size_t idx, Time v) {
 
 }  // namespace
 
-EventModel::~EventModel() { delete compiled_.load(std::memory_order_acquire); }
-
 Time EventModel::delta_min(Count n) const {
-  if (const auto* c = compiled_.load(std::memory_order_acquire)) {
-    Time v;
-    if (c->try_delta_min(n, v)) return v;
-  }
-  return delta_min_lazy(n);
-}
-
-Time EventModel::delta_plus(Count n) const {
-  if (const auto* c = compiled_.load(std::memory_order_acquire)) {
-    Time v;
-    if (c->try_delta_plus(n, v)) return v;
-  }
-  return delta_plus_lazy(n);
-}
-
-Count EventModel::eta_plus(Time dt) const {
-  if (const auto* c = compiled_.load(std::memory_order_acquire)) {
-    Count v;
-    if (c->try_eta_plus(dt, v)) return v;
-  }
-  return eta_plus_lazy(dt);
-}
-
-Count EventModel::eta_minus(Time dt) const {
-  if (const auto* c = compiled_.load(std::memory_order_acquire)) {
-    Count v;
-    if (c->try_eta_minus(dt, v)) return v;
-  }
-  return eta_minus_lazy(dt);
-}
-
-Time EventModel::delta_min_lazy(Count n) const {
   if (n < 2) return 0;
   const auto idx = static_cast<std::size_t>(n - 2);
   const Time cached = dmin_cache_.load(idx);
@@ -82,7 +47,7 @@ Time EventModel::delta_min_lazy(Count n) const {
   return v;
 }
 
-Time EventModel::delta_plus_lazy(Count n) const {
+Time EventModel::delta_plus(Count n) const {
   if (n < 2) return 0;
   const auto idx = static_cast<std::size_t>(n - 2);
   const Time cached = dplus_cache_.load(idx);
@@ -96,34 +61,14 @@ Time EventModel::delta_plus_lazy(Count n) const {
   return v;
 }
 
-Count EventModel::eta_plus_lazy(Time dt) const {
+Count EventModel::eta_plus(Time dt) const {
   if (dt <= 0) return 0;
   return eta_plus_raw(dt);
 }
 
-Count EventModel::eta_minus_lazy(Time dt) const {
+Count EventModel::eta_minus(Time dt) const {
   if (dt <= 0) return 0;
   return eta_minus_raw(dt);
-}
-
-const rtc::CompiledModel& EventModel::ensure_compiled() const {
-  return ensure_compiled(rtc::CompileOptions{});
-}
-
-const rtc::CompiledModel& EventModel::ensure_compiled(const rtc::CompileOptions& options) const {
-  if (const auto* existing = compiled_.load(std::memory_order_acquire)) return *existing;
-  auto candidate = rtc::CompiledModel::lower(*this, options);
-  const rtc::CompiledModel* expected = nullptr;
-  const rtc::CompiledModel* raw = candidate.get();
-  // First publication wins and is never replaced: queries may hold the
-  // pointer across the CAS, so a published form must live as long as the
-  // node.  The losing candidate was never visible and is safe to discard.
-  if (compiled_.compare_exchange_strong(expected, raw, std::memory_order_acq_rel,
-                                        std::memory_order_acquire)) {
-    (void)candidate.release();
-    return *raw;
-  }
-  return *expected;
 }
 
 Count EventModel::eta_plus_raw(Time dt) const {

@@ -35,7 +35,6 @@
 /// inputs plus the timer, Psi_pa on a pending input min(signal, frame), and
 /// so on.  Load checks read it in O(1); AX14 checks it against eta+.
 
-#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -43,11 +42,6 @@
 #include "core/curve_cache.hpp"
 #include "core/rate.hpp"
 #include "core/time.hpp"
-
-namespace hem::rtc {
-struct CompileOptions;
-class CompiledModel;
-}  // namespace hem::rtc
 
 namespace hem {
 
@@ -65,16 +59,13 @@ using ModelPtr = std::shared_ptr<const EventModel>;
 /// construction.
 class EventModel {
  public:
-  virtual ~EventModel();
+  virtual ~EventModel() = default;
 
   EventModel(const EventModel&) = delete;
   EventModel& operator=(const EventModel&) = delete;
 
   /// Minimum distance between n consecutive events.  Zero for n < 2.
-  /// Non-decreasing in n.  Served from the compiled flat form when the
-  /// node has been lowered (see `ensure_compiled`), the lazy memoised DAG
-  /// otherwise — the two are bit-identical inside the compiled horizon
-  /// (checked by AX12).
+  /// Non-decreasing in n.  Memoised per node.
   [[nodiscard]] Time delta_min(Count n) const;
 
   /// Maximum distance between n consecutive events.  Zero for n < 2.
@@ -89,28 +80,6 @@ class EventModel {
   /// Minimum number of events in any time interval of size dt (eq. 2).
   /// Returns 0 when the stream can be silent for dt (e.g. delta+(2) = inf).
   [[nodiscard]] Count eta_minus(Time dt) const;
-
-  /// The lazy DAG evaluation path, bypassing any compiled form.  Used by
-  /// the lowering pass itself, by the compiled-vs-lazy contract checks
-  /// (AX12/AX13), and as the baseline arm of the algebra benchmarks.
-  [[nodiscard]] Time delta_min_lazy(Count n) const;
-  [[nodiscard]] Time delta_plus_lazy(Count n) const;
-  [[nodiscard]] Count eta_plus_lazy(Time dt) const;
-  [[nodiscard]] Count eta_minus_lazy(Time dt) const;
-
-  /// Lower this node to its flat compiled form (see rtc/compile.hpp) and
-  /// cache it on the node.  Idempotent and thread-safe: the first
-  /// publication wins and is never replaced, so returned references stay
-  /// valid for the node's lifetime; a concurrent loser discards its own
-  /// candidate.  Subsequent delta/eta queries consult the compiled form
-  /// first and fall back to the lazy DAG beyond its horizon.
-  const rtc::CompiledModel& ensure_compiled() const;
-  const rtc::CompiledModel& ensure_compiled(const rtc::CompileOptions& options) const;
-
-  /// The cached compiled form, or nullptr when the node was never lowered.
-  [[nodiscard]] const rtc::CompiledModel* compiled() const noexcept {
-    return compiled_.load(std::memory_order_acquire);
-  }
 
   /// Largest number of events that may occur simultaneously, i.e. the
   /// largest n with delta-(n) == 0.  Used as parameter `k` of the inner
@@ -159,11 +128,6 @@ class EventModel {
   mutable AtomicCurveCache dplus_cache_;
 
   const Rate rate_;
-
-  // Flat compiled form (rtc/compile.hpp), owned by the node.  Published
-  // once by a first-wins CAS in ensure_compiled(); queries take one acquire
-  // load and then touch only immutable arrays.
-  mutable std::atomic<const rtc::CompiledModel*> compiled_{nullptr};
 };
 
 /// Search ceiling for the generic eta+ inversion.  A well-formed stream's

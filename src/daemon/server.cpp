@@ -802,6 +802,7 @@ struct Server::Impl : std::enable_shared_from_this<Server::Impl> {
     ++client_active[client];
     ++submitted;
     obs::bump(g_submitted);
+    pool->wake();  // dispatch now, not at the scheduler's next reap timeout
     return JsonWriter{}
         .add("ok", true)
         .add("id", static_cast<long>(rec->id))
@@ -944,6 +945,7 @@ struct Server::Impl : std::enable_shared_from_this<Server::Impl> {
     std::lock_guard<std::mutex> lk(mx);
     draining = true;
     cv.notify_all();
+    if (pool) pool->wake();
   }
 
   void request_force() {
@@ -951,6 +953,7 @@ struct Server::Impl : std::enable_shared_from_this<Server::Impl> {
     draining = true;
     force = true;
     cv.notify_all();
+    if (pool) pool->wake();
   }
 
   /// Join everything after the scheduler loop has exited.

@@ -104,12 +104,14 @@ std::vector<JobPool::Handle> JobPool::wait_terminal(std::chrono::milliseconds ti
   std::vector<Handle> terminal;
   {
     std::unique_lock<std::mutex> lk(sync_->mx);
-    const auto has_terminal = [this] {
+    const auto ready = [this] {
+      if (woken_) return true;
       for (const Handle& h : active_)
         if (h->phase != Slot::kRunning) return true;
       return false;
     };
-    if (!has_terminal()) sync_->cv.wait_for(lk, timeout, has_terminal);
+    if (!ready()) sync_->cv.wait_for(lk, timeout, ready);
+    woken_ = false;
     for (auto it = active_.begin(); it != active_.end();) {
       if ((*it)->phase == Slot::kRunning) {
         ++it;
@@ -128,6 +130,14 @@ std::vector<JobPool::Handle> JobPool::wait_terminal(std::chrono::milliseconds ti
       h->worker.join();
   }
   return terminal;
+}
+
+void JobPool::wake() {
+  {
+    std::lock_guard<std::mutex> lk(sync_->mx);
+    woken_ = true;
+  }
+  sync_->cv.notify_all();
 }
 
 long JobPool::watchdog_cancels() const {

@@ -107,10 +107,16 @@ class JobPool {
   /// cancel() every job still running.
   void cancel_all(CancelReason reason, bool escalate);
 
-  /// Wait up to `timeout` for at least one job to turn terminal and return
-  /// all terminal handles, removed from the active set.  Finished workers
-  /// are joined, abandoned workers detached; `Slot::phase` tells which.
+  /// Wait up to `timeout` for at least one job to turn terminal, or for a
+  /// wake(), and return all terminal handles (possibly none), removed from
+  /// the active set.  Finished workers are joined, abandoned workers
+  /// detached; `Slot::phase` tells which.
   [[nodiscard]] std::vector<Handle> wait_terminal(std::chrono::milliseconds timeout);
+
+  /// Make the current (or, if none is blocked, the next) wait_terminal()
+  /// return early: the caller has new work to dispatch or a state change to
+  /// observe, and should not sleep out its timeout.
+  void wake();
 
   [[nodiscard]] long watchdog_cancels() const;
   [[nodiscard]] long watchdog_kills() const;
@@ -134,6 +140,7 @@ class JobPool {
   long watchdog_kills_ = 0;     ///< guarded by sync_->mx
   long abandoned_ = 0;          ///< guarded by sync_->mx
   bool stop_watchdog_ = false;  ///< guarded by sync_->mx
+  bool woken_ = false;          ///< wake() pending; guarded by sync_->mx
   std::thread watchdog_;
 };
 

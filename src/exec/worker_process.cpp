@@ -1,5 +1,6 @@
 #include "exec/worker_process.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -13,6 +14,7 @@
 #include <poll.h>
 #include <signal.h>
 #include <sys/resource.h>
+#include <sys/syscall.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -208,8 +210,29 @@ void apply_limits(const WorkerLimits& limits) {
   }
 }
 
+/// Close every descriptor the child inherited except stdio and its result
+/// pipe `keep`.  A child holding a copy of an unrelated descriptor keeps it
+/// open for as long as the analysis runs: another worker's pipe write end
+/// (so that worker's EOF waits for this child), a connection socket (so a
+/// peer's hang-up goes unseen), the daemon's listening socket.
+void close_inherited_fds(int keep) {
+  const auto k = static_cast<unsigned>(keep);
+#ifdef SYS_close_range
+  if ((k <= 3 || ::syscall(SYS_close_range, 3u, k - 1, 0u) == 0) &&
+      ::syscall(SYS_close_range, k + 1, ~0u, 0u) == 0)
+    return;
+#endif
+  struct rlimit rl{};
+  long max_fd = 1024;
+  if (::getrlimit(RLIMIT_NOFILE, &rl) == 0 && rl.rlim_cur != RLIM_INFINITY)
+    max_fd = static_cast<long>(std::min<rlim_t>(rl.rlim_cur, 65536));
+  for (int fd = 3; fd < max_fd; ++fd)
+    if (fd != keep) ::close(fd);
+}
+
 [[noreturn]] void child_main(int fd, const std::function<AttemptOutcome()>& work,
                              const WorkerLimits& limits) {
+  close_inherited_fds(fd);
   apply_limits(limits);
   // The obs tracer/counter sinks belong to the parent; a child emitting
   // into them would interleave with the parent's own streams.

@@ -58,7 +58,6 @@ struct EngineStats {
   long local_analyses_skipped = 0;  ///< clean resources that reused prior results
   long models_reused = 0;           ///< activation/output nodes reused across iterations
   long models_rebuilt = 0;          ///< activation/output nodes newly constructed
-  long models_compiled = 0;         ///< nodes lowered to the flat compiled form
   long warm_seeded = 0;             ///< tasks pre-seeded from an EngineSnapshot
   int jobs = 1;                     ///< worker threads used by the run
 

@@ -16,7 +16,6 @@
 #include "model/engine_snapshot.hpp"
 #include "hierarchical/inner_update.hpp"
 #include "obs/obs.hpp"
-#include "rtc/compile.hpp"
 #include "sched/can_bus.hpp"
 #include "sched/edf.hpp"
 #include "sched/flexray_static.hpp"
@@ -27,16 +26,6 @@
 namespace hem::cpa {
 
 namespace {
-
-/// Compile budget for lowering a model node (rtc/compile.hpp).  The busy
-/// window bounds the time range the local analysis actually queries; 2x
-/// headroom covers growth in later global iterations.  With no finite busy
-/// bound yet the default sample budget alone caps the horizon.
-rtc::CompileOptions compile_options_for(Time busy) {
-  rtc::CompileOptions opt;
-  if (busy > 0 && !is_infinite(busy)) opt.time_horizon = sat_mul(busy, 2);
-  return opt;
-}
 
 /// Degraded-status classification of a local-analysis failure.
 TaskStatus status_for(ErrorCode code) {
@@ -513,27 +502,6 @@ void CpaEngine::analyze_resources() {
   }
   stats_.local_analyses_run += static_cast<long>(dirty.size());
 
-  // Lower stable activation nodes before the parallel fan-out: a node that
-  // survived a previous local analysis unchanged (pointer == analyzed-stamp
-  // of a still-dirty resource) will be queried heavily again by this
-  // iteration's busy-window fixpoints, so its delta samples are frozen once
-  // into the flat compiled form (rtc/compile.hpp) and every query becomes a
-  // binary search with zero virtual dispatch or atomic memo traffic.
-  // Compilation happens serially here and depends only on pointer stamps,
-  // keeping `models_compiled` deterministic across job counts; queries
-  // beyond the compiled horizon fall back to the lazy DAG unchanged.
-  if (options_.compile_curves) {
-    for (ResourceId r : dirty) {
-      for (TaskId t : ids[r]) {
-        const TaskState& st = state_[t];
-        if (!st.act_flat || st.act_flat.get() != st.analyzed_act) continue;
-        if (st.act_flat->compiled() != nullptr) continue;
-        st.act_flat->ensure_compiled(compile_options_for(st.busy));
-        ++stats_.models_compiled;
-      }
-    }
-  }
-
   // Reset the transient analysis outcome only where a fresh analysis will
   // rewrite it; skipped resources keep last iteration's statuses.
   for (ResourceId r : dirty) {
@@ -993,22 +961,6 @@ AnalysisReport CpaEngine::run() {
 
   if (!options_.strict) taint_downstream();
   last_converged_ = converged;
-
-  // A converged run's model nodes are final: lower every task's activation
-  // and output stream so report consumers (hemlint rate propagation,
-  // ModelChecker sweeps, downstream what-if queries) hit the compiled fast
-  // path.  Beyond the compiled horizon queries fall back to the lazy DAG,
-  // so this is pure acceleration, never an approximation.
-  if (converged && options_.compile_curves) {
-    for (TaskState& st : state_) {
-      for (const ModelPtr& m : {st.act_flat, st.out_flat}) {
-        if (m && m->compiled() == nullptr) {
-          m->ensure_compiled(compile_options_for(st.busy));
-          ++stats_.models_compiled;
-        }
-      }
-    }
-  }
 
   AnalysisReport report = assemble_report(iter, converged);
   if (!converged) {

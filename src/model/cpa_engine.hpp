@@ -91,17 +91,6 @@ struct EngineOptions {
   /// memoisation caches) across iterations.  Disable to force the classic
   /// full re-evaluation every round (benchmark baseline).
   bool incremental = true;
-  /// Lower stable model nodes to the flat compiled form (rtc/compile.hpp):
-  /// an activation node that survived its last local analysis unchanged is
-  /// frozen into dense delta-sample arrays plus an arrival-curve pair, so
-  /// busy-window fixpoints answer delta/eta queries with a branch-free
-  /// binary search instead of virtual DAG dispatch and atomic memo traffic.
-  /// After convergence every task's activation and output node is compiled
-  /// for report consumers (hemlint rate propagation, ModelChecker sweeps).
-  /// Queries beyond the compiled horizon fall back to the lazy DAG, so
-  /// results are bit-identical with the flag off (see docs/compilation.md);
-  /// disable to benchmark the pure-lazy baseline.
-  bool compile_curves = true;
   /// Optional cooperative cancellation token (not owned).  Polled once per
   /// global iteration and, via FixpointLimits, every few thousand
   /// busy-window fixpoint steps.  When it fires, run() throws

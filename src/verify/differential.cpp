@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
-#include <random>
+#include <iomanip>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -10,7 +10,6 @@
 #include "core/errors.hpp"
 #include "model/cpa_engine.hpp"
 #include "model/engine_snapshot.hpp"
-#include "rtc/compile.hpp"
 #include "sim/system_simulator.hpp"
 #include "sim/trace_check.hpp"
 #include "verify/lint.hpp"
@@ -28,6 +27,33 @@ std::uint64_t fnv1a64(std::string_view data) {
 }
 
 std::uint64_t OracleFinding::bucket() const { return fnv1a64(oracle + '/' + fingerprint); }
+
+std::string hex16(std::uint64_t v) {
+  std::ostringstream os;
+  os << std::hex << std::setw(16) << std::setfill('0') << v;
+  return os.str();
+}
+
+std::string reproducer_header(const OracleFinding& finding, std::uint64_t seed, int variant,
+                              const std::string& inject) {
+  std::ostringstream os;
+  os << "# hemfuzz reproducer\n"
+     << "# oracle: " << finding.oracle << "\n"
+     << "# fingerprint: " << finding.fingerprint << "\n"
+     << "# bucket: " << hex16(finding.bucket()) << "\n"
+     << "# seed: " << seed << " variant: " << variant << "\n";
+  if (!inject.empty()) os << "# inject: " << inject << "\n";
+  // Contract messages span several lines; each one must stay a comment.
+  std::istringstream detail(finding.detail);
+  std::string line;
+  bool first = true;
+  while (std::getline(detail, line)) {
+    os << (first ? "# detail: " : "# ") << line << "\n";
+    first = false;
+  }
+  if (first) os << "# detail: \n";
+  return os.str();
+}
 
 namespace {
 
@@ -190,46 +216,21 @@ class DeterminismOracle final : public Oracle {
 };
 
 // ---------------------------------------------------------------------------
-// Compilation: compiled curves vs the lazy DAG.
+// Axioms: ModelChecker sweep over every model the engine published.
 // ---------------------------------------------------------------------------
 
-class CompilationOracle final : public Oracle {
+class AxiomsOracle final : public Oracle {
  public:
-  [[nodiscard]] std::string name() const override { return "compilation"; }
+  [[nodiscard]] std::string name() const override { return "axioms"; }
 
   void check(const DiffInput& in, const DiffOptions& opts,
              std::vector<OracleFinding>& out) const override {
-    const cpa::EngineOptions base = base_options(opts);
-    const cpa::AnalysisReport compiled = run_engine(*in.system, base);
-
-    cpa::EngineOptions lazy_opts = base;
-    lazy_opts.compile_curves = false;
-    const cpa::AnalysisReport lazy = run_engine(*in.system, lazy_opts);
-    if (report_fingerprint(compiled) != report_fingerprint(lazy)) {
-      out.push_back({name(), "fp:compile-toggle",
-                     "analysis results differ between compile_curves on and off"});
-    }
-
-    // Full axiom sweep (AX1-AX13) over every per-task model the engine
-    // published, plus random compiled-vs-lazy probes beyond the checker's
-    // bend points.
+    const cpa::AnalysisReport report = run_engine(*in.system, base_options(opts));
     ModelChecker checker({opts.checker_horizon, /*check_eta=*/true});
-    rtc::CompileOptions copts;
-    copts.max_horizon = opts.checker_horizon;
-    std::mt19937_64 rng(opts.sim_seed);
-    for (const cpa::TaskResult& task : compiled.tasks) {
-      if (task.activation != nullptr) {
+    for (const cpa::TaskResult& task : report.tasks) {
+      if (task.activation != nullptr)
         checker.check_model(*task.activation, task.name + ".activation");
-        task.activation->ensure_compiled(copts);
-        checker.check_compiled(*task.activation, task.name + ".activation");
-        probe(rng, *task.activation, task.name + ".activation", opts, out);
-      }
-      if (task.output != nullptr) {
-        checker.check_model(*task.output, task.name + ".output");
-        task.output->ensure_compiled(copts);
-        checker.check_compiled(*task.output, task.name + ".output");
-        probe(rng, *task.output, task.name + ".output", opts, out);
-      }
+      if (task.output != nullptr) checker.check_model(*task.output, task.name + ".output");
       // Inner-update results may legitimately fall below the outer's
       // serialisation bound, so AX9 is not asserted on engine outputs.
       if (task.hem_output != nullptr)
@@ -238,46 +239,6 @@ class CompilationOracle final : public Oracle {
     }
     for (const AxiomViolation& v : checker.violations())
       out.push_back({name(), v.axiom + ":" + v.model, v.format()});
-  }
-
- private:
-  /// Compiled and lazy evaluation paths must agree on EVERY query: inside
-  /// the compiled horizon by AX12, beyond it because queries fall back to
-  /// the lazy DAG.  Random points extend the checker's deterministic grid.
-  void probe(std::mt19937_64& rng, const EventModel& model, const std::string& path,
-             const DiffOptions& opts, std::vector<OracleFinding>& out) const {
-    for (int i = 0; i < opts.probe_points; ++i) {
-      const Count n = 2 + static_cast<Count>(rng() % 4096);
-      const Time dt = 1 + static_cast<Time>(rng() % 1'000'000);
-      if (model.delta_min(n) != model.delta_min_lazy(n)) {
-        out.push_back({name(), "probe-delta-min:" + path,
-                       path + ": delta_min(" + std::to_string(n) + ") compiled " +
-                           std::to_string(model.delta_min(n)) + " != lazy " +
-                           std::to_string(model.delta_min_lazy(n))});
-        return;  // one witness per model keeps buckets stable
-      }
-      if (model.delta_plus(n) != model.delta_plus_lazy(n)) {
-        out.push_back({name(), "probe-delta-plus:" + path,
-                       path + ": delta_plus(" + std::to_string(n) + ") compiled " +
-                           std::to_string(model.delta_plus(n)) + " != lazy " +
-                           std::to_string(model.delta_plus_lazy(n))});
-        return;
-      }
-      if (model.eta_plus(dt) != model.eta_plus_lazy(dt)) {
-        out.push_back({name(), "probe-eta-plus:" + path,
-                       path + ": eta_plus(" + std::to_string(dt) + ") compiled " +
-                           std::to_string(model.eta_plus(dt)) + " != lazy " +
-                           std::to_string(model.eta_plus_lazy(dt))});
-        return;
-      }
-      if (model.eta_minus(dt) != model.eta_minus_lazy(dt)) {
-        out.push_back({name(), "probe-eta-minus:" + path,
-                       path + ": eta_minus(" + std::to_string(dt) + ") compiled " +
-                           std::to_string(model.eta_minus(dt)) + " != lazy " +
-                           std::to_string(model.eta_minus_lazy(dt))});
-        return;
-      }
-    }
   }
 };
 
@@ -399,13 +360,12 @@ class BrokenEtaPlusModel final : public EventModel {
   [[nodiscard]] Count eta_plus_raw(Time dt) const override { return dt % 2 == 1 ? 100 : 1; }
 };
 
-/// Correct periodic deltas but a lazy eta+ that ignores them: the compiled
-/// form inverts the (correct) curves, so compiled and lazy eta+ disagree
-/// inside the horizon (violates AX12).
-class BrokenCompileEtaModel final : public EventModel {
+/// Correct periodic deltas but a closed-form eta+ that ignores them: eta+
+/// is no longer the pseudo-inverse of delta- (violates AX7).
+class BrokenEtaInverseModel final : public EventModel {
  public:
-  BrokenCompileEtaModel() : EventModel(Rate::of(1, 100)) {}
-  [[nodiscard]] std::string describe() const override { return "Broken(compile-eta)"; }
+  BrokenEtaInverseModel() : EventModel(Rate::of(1, 100)) {}
+  [[nodiscard]] std::string describe() const override { return "Broken(eta-inverse)"; }
 
  protected:
   [[nodiscard]] Time delta_min_raw(Count n) const override { return sat_mul(100, n - 1); }
@@ -413,35 +373,10 @@ class BrokenCompileEtaModel final : public EventModel {
   [[nodiscard]] Count eta_plus_raw(Time /*dt*/) const override { return 1; }
 };
 
-/// Flat (subadditive) delta-: the compiled lower curve's periodic extension
-/// overtakes the true curve beyond the horizon (violates AX13).
-class BrokenCompileDminModel final : public EventModel {
- public:
-  BrokenCompileDminModel() : EventModel(Rate::unbounded()) {}
-  [[nodiscard]] std::string describe() const override { return "Broken(compile-dmin)"; }
-
- protected:
-  [[nodiscard]] Time delta_min_raw(Count /*n*/) const override { return 100; }
-  [[nodiscard]] Time delta_plus_raw(Count n) const override { return sat_mul(100, n - 1); }
-};
-
-/// Quadratic (superadditive) delta+: the compiled upper curve's linear
-/// extension undershoots the true curve beyond the horizon (violates AX13).
-class BrokenCompileDplusModel final : public EventModel {
- public:
-  BrokenCompileDplusModel() : EventModel(Rate::of(1, 1)) {}
-  [[nodiscard]] std::string describe() const override { return "Broken(compile-dplus)"; }
-
- protected:
-  [[nodiscard]] Time delta_min_raw(Count n) const override { return n - 1; }
-  [[nodiscard]] Time delta_plus_raw(Count n) const override { return sat_mul(n - 1, n - 1); }
-};
-
 }  // namespace
 
 const std::vector<std::string>& broken_model_kinds() {
-  static const std::vector<std::string> kinds = {"ax1",         "ax3",          "eta-plus",
-                                                 "compile-eta", "compile-dmin", "compile-dplus"};
+  static const std::vector<std::string> kinds = {"ax1", "ax3", "eta-plus", "eta-inverse"};
   return kinds;
 }
 
@@ -449,9 +384,7 @@ ModelPtr make_broken_model(const std::string& kind) {
   if (kind == "ax1") return std::make_shared<BrokenAx1Model>();
   if (kind == "ax3") return std::make_shared<BrokenAx3Model>();
   if (kind == "eta-plus") return std::make_shared<BrokenEtaPlusModel>();
-  if (kind == "compile-eta") return std::make_shared<BrokenCompileEtaModel>();
-  if (kind == "compile-dmin") return std::make_shared<BrokenCompileDminModel>();
-  if (kind == "compile-dplus") return std::make_shared<BrokenCompileDplusModel>();
+  if (kind == "eta-inverse") return std::make_shared<BrokenEtaInverseModel>();
   throw std::invalid_argument("unknown broken model kind '" + kind + "'");
 }
 
@@ -495,7 +428,7 @@ OracleRegistry OracleRegistry::with_builtin_oracles() {
   OracleRegistry registry;
   registry.add(std::make_unique<DominanceOracle>());
   registry.add(std::make_unique<DeterminismOracle>());
-  registry.add(std::make_unique<CompilationOracle>());
+  registry.add(std::make_unique<AxiomsOracle>());
   registry.add(std::make_unique<DegradationOracle>());
   return registry;
 }

@@ -17,14 +17,14 @@
 ///   determinism   report fingerprints bit-identical across jobs=1 vs
 ///                 jobs=N, incremental on vs off, and cold vs warm-snapshot
 ///                 re-analysis
-///   compilation   compiled-curve vs lazy-DAG delta/eta identity (random
-///                 probes beyond the AX12 bend points) plus a full
-///                 ModelChecker AX1-AX13 sweep over every per-task model
+///   axioms        ModelChecker AX1-AX8/AX14 sweep over every per-task
+///                 activation and output model, plus the component models
+///                 of every hierarchical output
 ///   degradation   graceful-mode bounds dominate strict-mode results
 ///                 whenever strict converges; strict failures imply a
 ///                 degraded graceful report; hemlint HL001 fires iff the
-///                 engine diagnoses resource overload (guard-banded around
-///                 load == 1 where the two load estimators may round apart)
+///                 engine diagnoses resource overload (both sum the same
+///                 exact rates, so the iff holds right up to load == 1)
 ///
 /// Findings are value types carrying a *stable* fingerprint: the same
 /// violation on the same system buckets identically across runs and
@@ -46,10 +46,9 @@ namespace hem::verify {
 /// Tuning knobs shared by all oracles.
 struct DiffOptions {
   Time sim_horizon = 100'000;     ///< simulated ticks for the dominance oracle
-  std::uint64_t sim_seed = 1;     ///< simulator + probe RNG seed
+  std::uint64_t sim_seed = 1;     ///< simulator RNG seed
   int wide_jobs = 8;              ///< parallel arm of the determinism oracle
-  Count checker_horizon = 32;     ///< ModelChecker horizon (compilation oracle)
-  int probe_points = 24;          ///< random compiled-vs-lazy probes per model
+  Count checker_horizon = 32;     ///< ModelChecker horizon (axioms oracle)
   int max_iterations = 64;        ///< engine iteration budget for every run
 };
 
@@ -90,7 +89,7 @@ class Oracle {
 class OracleRegistry {
  public:
   /// Registry with the four built-in oracle families, in a fixed order:
-  /// dominance, determinism, compilation, degradation.
+  /// dominance, determinism, axioms, degradation.
   [[nodiscard]] static OracleRegistry with_builtin_oracles();
 
   void add(std::unique_ptr<Oracle> oracle);
@@ -112,6 +111,17 @@ class OracleRegistry {
 /// FNV-1a 64-bit hash (stable across platforms and runs).
 [[nodiscard]] std::uint64_t fnv1a64(std::string_view data);
 
+/// `v` as 16 zero-padded lowercase hex digits: the printed form of a bucket.
+[[nodiscard]] std::string hex16(std::uint64_t v);
+
+/// Comment header of a hemfuzz reproducer file: oracle, fingerprint, bucket,
+/// seed and variant, the injected broken-model kind when `inject` is
+/// non-empty, and the finding's detail.  Every line — each line of a
+/// multi-line detail included — starts with '#', so header + config text
+/// still parses as a `.hemcpa` file.
+[[nodiscard]] std::string reproducer_header(const OracleFinding& finding, std::uint64_t seed,
+                                            int variant, const std::string& inject);
+
 /// Order-sensitive fingerprint of everything result-relevant in a report:
 /// per-task names, statuses, response/backlog bounds, utilization bit
 /// patterns, short delta-curve samples of the activation and output models,
@@ -122,11 +132,10 @@ class OracleRegistry {
 [[nodiscard]] std::uint64_t report_fingerprint(const cpa::AnalysisReport& report);
 
 /// Known deliberately-broken model kinds for self-tests of the harness
-/// (mirroring the BrokenModel/BrokenCompileModel mocks in tests/verify):
-/// "ax1" (delta- decreasing), "ax3" (delta- above delta+), "eta-plus"
-/// (non-monotone closed-form eta+), "compile-eta" (lazy eta disagreeing
-/// with its own delta curves, AX12), "compile-dmin" / "compile-dplus"
-/// (sub/superadditive curves the lowering cannot bound, AX13).
+/// (mirroring the BrokenModel mocks in tests/verify): "ax1" (delta-
+/// decreasing), "ax3" (delta- above delta+), "eta-plus" (non-monotone
+/// closed-form eta+), "eta-inverse" (closed-form eta+ disagreeing with its
+/// own delta- curve, AX7).
 [[nodiscard]] const std::vector<std::string>& broken_model_kinds();
 
 /// One shared instance of the given broken kind.

@@ -4,8 +4,6 @@
 #include <set>
 #include <sstream>
 
-#include "rtc/compile.hpp"
-
 namespace hem::verify {
 
 namespace {
@@ -248,130 +246,6 @@ void ModelChecker::check_inner_update(const EventModel& before, const EventModel
              "updated delta+(" + std::to_string(n) + ")=" + time_str(dp_after) +
                  " < pre-update delta+(" + std::to_string(n) + ")=" + time_str(dp_before) +
                  interval);
-  }
-}
-
-void ModelChecker::check_compiled(const EventModel& model, const std::string& path) {
-  const rtc::CompiledModel& c = model.ensure_compiled();
-  const std::string id = path + ": " + model.describe();
-  /// How far past the compiled horizon the AX13 conservativeness probes
-  /// reach — enough to exercise the affine tails, cheap enough to run on
-  /// every node of a property sweep.
-  constexpr Count kTailProbes = 16;
-
-  // ---- AX12: bit-identity inside the compiled horizon ---------------------
-  // The samples are frozen DAG evaluations, so any disagreement means the
-  // flat indexing (or a later DAG change) broke the contract.  The probes
-  // deliberately go through the try_* fast path on one side and the *_lazy
-  // accessors on the other; the transparent base-class query would hide a
-  // divergence by answering both from the same form.
-  const Count dm_h = std::min<Count>(options_.horizon, c.delta_min_horizon());
-  for (Count n = 2; n <= dm_h; ++n) {
-    Time fast = 0;
-    if (!c.try_delta_min(n, fast)) {
-      record("AX12", id, n,
-             "try_delta_min refused n=" + std::to_string(n) + " inside its advertised horizon " +
-                 count_str(c.delta_min_horizon()));
-      break;
-    }
-    const Time lazy = model.delta_min_lazy(n);
-    if (fast != lazy) {
-      record("AX12", id, n,
-             "compiled delta-(" + std::to_string(n) + ")=" + time_str(fast) +
-                 " != lazy delta-(" + std::to_string(n) + ")=" + time_str(lazy));
-      break;
-    }
-  }
-  const Count dp_h = std::min<Count>(options_.horizon, c.delta_plus_horizon());
-  for (Count n = 2; n <= dp_h; ++n) {
-    Time fast = 0;
-    if (!c.try_delta_plus(n, fast)) {
-      record("AX12", id, n,
-             "try_delta_plus refused n=" + std::to_string(n) + " inside its advertised horizon " +
-                 count_str(c.delta_plus_horizon()));
-      break;
-    }
-    const Time lazy = model.delta_plus_lazy(n);
-    if (fast != lazy) {
-      record("AX12", id, n,
-             "compiled delta+(" + std::to_string(n) + ")=" + time_str(fast) +
-                 " != lazy delta+(" + std::to_string(n) + ")=" + time_str(lazy));
-      break;
-    }
-  }
-
-  // Eta agreement at the bend points of the compiled arrays (the exact
-  // breakpoints of eqs. (1)/(2), where an off-by-one in the binary-search
-  // inversion would show) plus their +-1 neighbours.
-  if (options_.check_eta) {
-    std::set<Time> samples{1, 2, 3};
-    for (Count n = 2; n <= dm_h; ++n) {
-      const Time dm = model.delta_min_lazy(n);
-      if (dm > 0) samples.insert(dm);
-      samples.insert(sat_add(dm, 1));
-    }
-    for (Count n = 2; n <= dp_h; ++n) {
-      const Time dp = model.delta_plus_lazy(n);
-      if (is_infinite(dp)) break;
-      if (dp > 1) samples.insert(dp - 1);
-      if (dp > 0) samples.insert(dp);
-      samples.insert(dp + 1);
-    }
-    for (const Time dt : samples) {
-      if (is_infinite(dt)) continue;
-      Count fast = 0;
-      if (c.try_eta_plus(dt, fast)) {
-        const Count lazy = model.eta_plus_lazy(dt);
-        if (fast != lazy) {
-          record("AX12", id, dt,
-                 "compiled eta+(" + std::to_string(dt) + ")=" + count_str(fast) +
-                     " != lazy eta+(" + std::to_string(dt) + ")=" + count_str(lazy));
-          break;
-        }
-      }
-      if (c.try_eta_minus(dt, fast)) {
-        const Count lazy = model.eta_minus_lazy(dt);
-        if (fast != lazy) {
-          record("AX12", id, dt,
-                 "compiled eta-(" + std::to_string(dt) + ")=" + count_str(fast) +
-                     " != lazy eta-(" + std::to_string(dt) + ")=" + count_str(lazy));
-          break;
-        }
-      }
-    }
-  }
-
-  // ---- AX13: curve conservativeness, inside AND beyond the horizon --------
-  // The curve pair is the only part of the compiled form that extrapolates
-  // (affine tails justified by super-/subadditivity), so probe it across the
-  // horizon boundary where the extrapolation takes over from the samples.
-  const rtc::Curve& lo = c.lower_curve();
-  const Count lo_end = sat_add(c.delta_min_horizon(), kTailProbes);
-  for (Count n = 2; n <= lo_end; ++n) {
-    const Time lazy = model.delta_min_lazy(n);
-    if (is_infinite(lazy)) break;  // any finite curve value lower-bounds inf
-    const Time bound = lo.value(static_cast<Time>(n));
-    if (bound > lazy) {
-      record("AX13", id, n,
-             "lower curve(" + std::to_string(n) + ")=" + time_str(bound) + " > delta-(" +
-                 std::to_string(n) + ")=" + time_str(lazy) +
-                 (n > c.delta_min_horizon() ? " (beyond compiled horizon)" : ""));
-      break;
-    }
-  }
-  if (const rtc::Curve* up = c.upper_curve()) {
-    const Count up_end = sat_add(c.delta_plus_horizon(), kTailProbes);
-    for (Count n = 2; n <= up_end; ++n) {
-      const Time lazy = model.delta_plus_lazy(n);
-      const Time bound = up->value(static_cast<Time>(n));
-      if (is_infinite(lazy) || bound < lazy) {
-        record("AX13", id, n,
-               "upper curve(" + std::to_string(n) + ")=" + time_str(bound) + " < delta+(" +
-                   std::to_string(n) + ")=" + time_str(lazy) +
-                   (n > c.delta_plus_horizon() ? " (beyond compiled horizon)" : ""));
-        break;
-      }
-    }
   }
 }
 

@@ -28,12 +28,8 @@
 ///          delta'-(n) >= (n-1) * r-
 ///   AX11 inner update widens delta+ (Def. 9):
 ///          delta'+(n) >= delta+(n)
-///   AX12 compiled-form agreement (rtc/compile.hpp): inside its advertised
-///        horizon the lowered model reproduces the lazy DAG bit-for-bit,
-///        for delta- and delta+ samples and for the eta inversions
-///   AX13 compiled-curve conservativeness: the curve pair emitted by the
-///        lowering bounds the lazy DAG at every probed n, including beyond
-///        the compiled horizon (lower curve <= delta-, upper curve >= delta+)
+///   (ids 12 and 13 are retired with the compiled curve form they checked;
+///   AX14 keeps its id so reports stay comparable)
 ///   AX14 rate exactness (core/rate.hpp): the structural rate r is the slope
 ///        of eta+, so r * dt <= eta+(dt) at every probe (no false overload)
 ///        and eta+(dt) - r * dt stays bounded over a doubling sweep of dt
@@ -96,15 +92,6 @@ class ModelChecker {
   /// floor) and AX11 (delta+ only widens) relative to the pre-update model.
   void check_inner_update(const EventModel& before, const EventModel& after, Time r_minus,
                           Time r_plus, const std::string& path);
-
-  /// Lower `model` (reusing an already-published compiled form when one
-  /// exists) and check the compilation axioms: AX12 — inside the compiled
-  /// horizon the flat form agrees bit-for-bit with the lazy DAG on delta-
-  /// and delta+ samples and on the eta inversions at every compiled bend
-  /// point; AX13 — the emitted curve pair stays conservative at every
-  /// probed n, in particular beyond the compiled horizon where queries
-  /// fall back to the lazy DAG (lower curve <= delta-, upper >= delta+).
-  void check_compiled(const EventModel& model, const std::string& path);
 
   [[nodiscard]] bool ok() const noexcept { return violations_.empty(); }
   [[nodiscard]] const std::vector<AxiomViolation>& violations() const noexcept {

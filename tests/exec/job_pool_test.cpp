@@ -39,6 +39,32 @@ TEST(JobPoolTest, RunsJobsAndReturnsContext) {
   EXPECT_TRUE(pool.available());
 }
 
+// A caller with new work (the daemon after a submit) must not sleep out the
+// reap timeout: wake() ends a blocked wait_terminal() at once, with no
+// handles, and is consumed by it.
+TEST(JobPoolTest, WakeEndsBlockedWaitWithoutHandles) {
+  JobPool pool(1, 1000);
+  std::atomic<bool> returned{false};
+  std::chrono::steady_clock::time_point returned_at;
+  std::size_t handles = 1;
+  std::thread waiter([&] {
+    handles = pool.wait_terminal(10s).size();
+    returned_at = std::chrono::steady_clock::now();
+    returned.store(true);
+  });
+  std::this_thread::sleep_for(50ms);
+  EXPECT_FALSE(returned.load());
+  const auto woken_at = std::chrono::steady_clock::now();
+  pool.wake();
+  waiter.join();
+  EXPECT_EQ(handles, 0u);
+  EXPECT_LT(returned_at - woken_at, 1s);
+
+  const auto before = std::chrono::steady_clock::now();
+  EXPECT_TRUE(pool.wait_terminal(30ms).empty());
+  EXPECT_GE(std::chrono::steady_clock::now() - before, 25ms);  // the wake was consumed
+}
+
 TEST(JobPoolTest, WatchdogSoftCancelsOverBudgetJob) {
   std::vector<std::string> log;
   JobPool pool(1, 10'000, [&](const std::string& line) { log.push_back(line); });

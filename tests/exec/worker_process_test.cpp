@@ -1,7 +1,7 @@
 // Tests for the out-of-process analysis sandbox (exec/worker_process.hpp):
 // frame encode/decode round-trips and torn-frame rejection, crash and
 // resource-limit classification of real forked children, kill() semantics,
-// and the budget -> rlimit mapping.  The fork-based cases are guarded on
+// descriptor hygiene of the child, and the budget -> rlimit mapping.  The fork-based cases are guarded on
 // WorkerProcess::supported() so the file still compiles (and trivially
 // passes) on hosts without POSIX process isolation.
 
@@ -19,6 +19,11 @@
 
 #include "exec/cancel.hpp"
 #include "exec/worker_process.hpp"
+
+#if !defined(_WIN32)
+#include <fcntl.h>
+#include <unistd.h>
+#endif
 
 namespace hem::exec {
 namespace {
@@ -111,6 +116,28 @@ TEST(WorkerProcessTest, CleanChildShipsItsOutcomeBack) {
   EXPECT_EQ(report.outcome.warm_seeded, 7);
   EXPECT_EQ(report.outcome.rows, sample_outcome().rows);
 }
+
+#if !defined(_WIN32)
+// A child must not keep the parent's unrelated descriptors open: a copy of
+// a socket or of another worker's pipe write end would hide the peer's
+// hang-up (or that worker's EOF) for as long as this analysis runs.
+TEST(WorkerProcessTest, ChildHoldsNoInheritedDescriptors) {
+  int unrelated[2];
+  ASSERT_EQ(::pipe(unrelated), 0);
+  WorkerProcess worker;
+  const WorkerReport report = worker.run(
+      [&] {
+        AttemptOutcome out;
+        out.ok = ::fcntl(unrelated[0], F_GETFD) == -1 && ::fcntl(unrelated[1], F_GETFD) == -1;
+        return out;
+      },
+      WorkerLimits{}, nullptr);
+  ::close(unrelated[0]);
+  ::close(unrelated[1]);
+  ASSERT_EQ(report.kind, WorkerExit::kResult);  // the result pipe itself survived
+  EXPECT_TRUE(report.outcome.ok) << "the child still held the parent's pipe";
+}
+#endif
 
 TEST(WorkerProcessTest, SegfaultBecomesCrashedWithTheSignal) {
   if (!WorkerProcess::supported()) GTEST_SKIP() << "no process isolation here";

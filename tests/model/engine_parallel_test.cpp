@@ -1,17 +1,23 @@
 // Tests of the incremental / parallel CPA engine: bit-identical results for
 // every job count, dirty-set scheduling doing strictly less work than the
-// classic full re-evaluation, and event-model node reuse across iterations.
+// classic full re-evaluation, event-model node reuse across iterations, the
+// model axioms on every model the example systems produce, and the stats
+// edge cases (zero-lookup hit rates, separate race counters).
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
 
 #include "core/errors.hpp"
 #include "core/standard_event_model.hpp"
 #include "io/csv.hpp"
 #include "model/cpa_engine.hpp"
+#include "obs/obs.hpp"
+#include "scenarios/body_network.hpp"
 #include "scenarios/paper_system.hpp"
 #include "scenarios/synth.hpp"
+#include "verify/model_checker.hpp"
 
 namespace hem::cpa {
 namespace {
@@ -191,6 +197,54 @@ TEST(EngineParallelTest, WideSynthSystemIdenticalAcrossJobCounts) {
     EXPECT_EQ(fingerprint(serial), fingerprint(parallel)) << "jobs=" << jobs;
     EXPECT_EQ(serial.iterations, parallel.iterations);
   }
+}
+
+TEST(EngineParallelTest, ModelAxiomsHoldOnExampleSystems) {
+  const System systems[] = {scenarios::build_paper_system({}, true),
+                            scenarios::build_body_network({}),
+                            scenarios::build_synth_system([] {
+                              scenarios::SynthParams p;
+                              p.resources = 5;
+                              p.tasks = 20;
+                              p.seed = 7;
+                              return p;
+                            }())};
+  for (const auto& sys : systems) {
+    const auto report = run_with(sys, 1);
+    verify::ModelChecker checker;
+    for (const auto& t : report.tasks) {
+      if (t.activation) checker.check_model(*t.activation, t.name + ".activation");
+      if (t.output) checker.check_model(*t.output, t.name + ".output");
+    }
+    EXPECT_TRUE(checker.ok()) << checker.format();
+  }
+}
+
+TEST(EngineParallelTest, HitRatesAreZeroNotNaNWithoutLookups) {
+  const EngineStats empty{};
+  EXPECT_EQ(empty.curve_cache_hit_rate(), 0.0);
+  EXPECT_FALSE(std::isnan(empty.curve_cache_hit_rate()));
+  EXPECT_EQ(empty.analysis_cache_hit_rate(), 0.0);
+  EXPECT_EQ(empty.node_reuse_rate(), 0.0);
+  // A run with obs counting disabled records no cache probes at all — the
+  // report must still present a well-defined (zero) hit rate.
+  obs::set_counting(false);
+  const auto report = run_with(scenarios::build_paper_system({}, true), 1);
+  EXPECT_EQ(report.stats.cache_hits + report.stats.cache_misses, 0);
+  EXPECT_FALSE(std::isnan(report.stats.curve_cache_hit_rate()));
+  EXPECT_EQ(report.stats.curve_cache_hit_rate(), 0.0);
+}
+
+TEST(EngineParallelTest, RaceCountersAreSeparateAndZeroWhenSerial) {
+  // With a single worker no publication can race in either subsystem; the
+  // split fields must both read zero instead of cross-charging the
+  // OutputModel recursion arena to the delta-memo caches.
+  obs::set_counting(true);
+  const auto report = run_with(scenarios::build_paper_system({}, true), 1);
+  obs::set_counting(false);
+  EXPECT_EQ(report.stats.cache_publish_races, 0);
+  EXPECT_EQ(report.stats.rec_publish_races, 0);
+  EXPECT_GT(report.stats.cache_hits + report.stats.cache_misses, 0);
 }
 
 }  // namespace

@@ -1,6 +1,5 @@
-// Boundary regressions for the Curve algebra (src/rtc/curve.hpp), added
-// alongside the compilation pass whose grid curves lean on these exact
-// guarantees:
+// Boundary regressions for the Curve algebra (src/rtc/curve.hpp), whose
+// GPC chains (src/rtc/gpc.hpp) lean on these exact guarantees:
 //
 //  * every operator (sum, clamped difference, min/max envelope, shift) is
 //    exact at x = 0 and at every breakpoint of either operand — the

@@ -1,8 +1,9 @@
 // Tests of the differential verification subsystem (verify/differential.hpp):
 // the built-in oracle registry stays clean on healthy systems (the paper
 // example and seeded synth systems, plain and packed), every deliberately
-// broken model kind is caught, bucket ids are stable across runs, and the
-// ddmin shrinker reduces a failing config while preserving its bucket.
+// broken model kind is caught, bucket ids are stable across runs, reproducer
+// headers stay comments, and the ddmin shrinker reduces a failing config
+// while preserving its bucket.
 
 #include <gtest/gtest.h>
 
@@ -37,7 +38,6 @@ scenarios::SynthParams small_params(std::uint64_t seed, int packed_permille = 0)
 DiffOptions fast_options() {
   DiffOptions opts;
   opts.sim_horizon = 20'000;
-  opts.probe_points = 8;
   opts.checker_horizon = 16;
   return opts;
 }
@@ -55,7 +55,7 @@ TEST(OracleRegistryTest, BuiltinFamiliesPresentInOrder) {
   ASSERT_EQ(registry.oracles().size(), 4u);
   EXPECT_EQ(registry.oracles()[0]->name(), "dominance");
   EXPECT_EQ(registry.oracles()[1]->name(), "determinism");
-  EXPECT_EQ(registry.oracles()[2]->name(), "compilation");
+  EXPECT_EQ(registry.oracles()[2]->name(), "axioms");
   EXPECT_EQ(registry.oracles()[3]->name(), "degradation");
   EXPECT_NE(registry.find("dominance"), nullptr);
   EXPECT_EQ(registry.find("no-such-oracle"), nullptr);
@@ -94,22 +94,58 @@ TEST(OracleRegistryTest, FindingsAreDeterministicAcrossRuns) {
 
 TEST(OracleRegistryTest, EveryBrokenModelKindIsCaught) {
   const OracleRegistry registry = OracleRegistry::with_builtin_oracles();
-  for (const std::string& kind : broken_model_kinds()) {
+  const auto& kinds = broken_model_kinds();
+  ASSERT_NE(std::find(kinds.begin(), kinds.end(), "eta-inverse"), kinds.end());
+  for (const std::string& kind : kinds) {
     System sys = scenarios::build_synth_system(small_params(2));
     ASSERT_GT(inject_broken_models(sys, kind), 0) << kind;
     DiffInput in;
     in.system = &sys;
     const auto findings = registry.run(in, fast_options());
     EXPECT_FALSE(findings.empty()) << "broken kind '" << kind << "' not caught";
+    if (kind == "eta-inverse") {
+      // Sound delta curves, lying eta+: the axioms oracle's AX7 sees it.
+      EXPECT_TRUE(std::any_of(findings.begin(), findings.end(),
+                              [](const OracleFinding& f) {
+                                return f.oracle == "axioms" && f.fingerprint.rfind("AX7:", 0) == 0;
+                              }))
+          << dump(findings);
+    }
   }
 }
 
 TEST(OracleRegistryTest, BucketsSeparateOracleFamilies) {
   OracleFinding a{"dominance", "wcrt:T3", ""};
-  OracleFinding b{"compilation", "wcrt:T3", ""};
+  OracleFinding b{"axioms", "wcrt:T3", ""};
   OracleFinding c{"dominance", "wcrt:T3", "different detail, same bucket"};
   EXPECT_NE(a.bucket(), b.bucket());
   EXPECT_EQ(a.bucket(), c.bucket());
+}
+
+// Contract-violation details span several lines; every line of the header
+// must stay a comment so the reproducer still parses.
+TEST(ReproducerHeaderTest, MultiLineDetailStaysCommentedAndParses) {
+  const OracleFinding finding{"axioms", "exception",
+                              "model-algebra contract violated at pack:\n"
+                              "AX9 [pack: HEM(...)] @3: inner delta-(3)=1 < outer delta-(3)=2\n"
+                              "AX3 [pack] @2: delta-(2)=5 > delta+(2)=4\n"};
+  const std::string header = reproducer_header(finding, 7, 2, "ax3");
+  std::istringstream lines(header);
+  std::string line;
+  int count = 0;
+  while (std::getline(lines, line)) {
+    ++count;
+    EXPECT_EQ(line.rfind('#', 0), 0u) << "uncommented header line: " << line;
+  }
+  EXPECT_EQ(count, 9);  // 6 fixed lines + 3 detail lines
+  EXPECT_NE(header.find("# bucket: " + hex16(finding.bucket()) + "\n"), std::string::npos);
+  EXPECT_NE(header.find("# inject: ax3\n"), std::string::npos);
+
+  const System sys = scenarios::build_synth_system(small_params(1));
+  const std::string config = scenarios::to_config_text(sys);
+  std::istringstream repro(header + config);
+  const ParsedSystem parsed = cpa::parse_system_config(repro);
+  EXPECT_EQ(parsed.system.tasks().size(), sys.tasks().size());
 }
 
 TEST(BrokenModelTest, UnknownKindThrows) {

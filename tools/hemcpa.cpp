@@ -580,11 +580,6 @@ int main(int argc, char** argv) {
     for (const auto& t : report.tasks) {
       if (t.activation) checker.check_model(*t.activation, t.name + ".activation");
       if (t.output) checker.check_model(*t.output, t.name + ".output");
-      // Compilation axioms (AX12/AX13): the engine lowers converged nodes to
-      // the flat compiled form, so verify the flat form agrees with the lazy
-      // DAG inside its horizon and its curves stay conservative beyond it.
-      if (t.activation) checker.check_compiled(*t.activation, t.name + ".activation");
-      if (t.output) checker.check_compiled(*t.output, t.name + ".output");
       // after_response() outputs: per-model axioms + the Def.-9 floor are
       // checked; Def.-8 outer-bounds-inners only holds for fresh pack
       // outputs, not for updated HEMs (see model_checker.hpp).

@@ -9,7 +9,7 @@
 // mutate_config: priority/jitter/dmin/cet perturbations, task
 // drop/duplicate, packed-frame surgery), and runs the full oracle registry
 // (verify/differential.hpp) on every variant that parses: dominance,
-// determinism, compilation, degradation.  Variants the engine itself
+// determinism, axioms, degradation.  Variants the engine itself
 // rejects (analysis preconditions a lexical mutation can break, e.g.
 // duplicate priorities) are counted and skipped — every oracle would see
 // the same exception, which is agreement, not a differential.  Failures
@@ -46,7 +46,6 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <iomanip>
 #include <iostream>
 #include <map>
 #include <optional>
@@ -64,6 +63,7 @@ namespace {
 
 using hem::verify::DiffInput;
 using hem::verify::DiffOptions;
+using hem::verify::hex16;
 using hem::verify::Oracle;
 using hem::verify::OracleFinding;
 using hem::verify::OracleRegistry;
@@ -115,12 +115,6 @@ hem::scenarios::SynthParams params_for(std::uint64_t seed) {
   p.utilization = 0.3 + 0.05 * static_cast<double>(seed % 9);
   p.packed_permille = seed % 2 == 0 ? 250 : 0;
   return p;
-}
-
-std::string hex16(std::uint64_t v) {
-  std::ostringstream os;
-  os << std::hex << std::setw(16) << std::setfill('0') << v;
-  return os.str();
 }
 
 /// Run one oracle with the registry's exception-to-finding convention.
@@ -300,13 +294,8 @@ int main(int argc, char** argv) {
         std::error_code ec;
         std::filesystem::create_directories(args.out_dir, ec);
         std::ofstream repro(path);
-        repro << "# hemfuzz reproducer\n"
-              << "# oracle: " << finding.oracle << "\n"
-              << "# fingerprint: " << finding.fingerprint << "\n"
-              << "# bucket: " << hex16(bucket) << "\n"
-              << "# seed: " << seed << " variant: " << variant << "\n";
-        if (!args.inject.empty()) repro << "# inject: " << args.inject << "\n";
-        repro << "# detail: " << finding.detail << "\n" << repro_text;
+        repro << hem::verify::reproducer_header(finding, seed, variant, args.inject)
+              << repro_text;
 
         std::cout << "bucket=" << hex16(bucket) << " oracle=" << finding.oracle
                   << " fingerprint=" << finding.fingerprint << " seed=" << seed
