@@ -11,6 +11,7 @@
 //    call-site macros are compiled out in Release).
 
 #include <algorithm>
+#include <iterator>
 #include <random>
 #include <set>
 #include <vector>
@@ -372,6 +373,20 @@ TEST(ModelCheckerNegative, EtaPlusBelowPseudoInverseFiresAX7) {
   EXPECT_TRUE(fired(checker, "AX7")) << checker.format();
   for (const char* sound : {"AX1", "AX2", "AX3"})
     EXPECT_FALSE(fired(checker, sound)) << sound << "\n" << checker.format();
+}
+
+// The same lie is visible at every n; the single AX7 report must name the
+// first one (n = 2: eta+ just past delta-(2) = 10 still says 1) with the
+// concrete values of the eq.-1 inequality it broke.
+TEST(ModelCheckerNegative, EtaPlusIgnoringDeltaMinReportsFirstWitness) {
+  const auto checker = check_broken(BrokenModel::Mode::kEtaPlusTooSmall);
+  std::vector<AxiomViolation> ax7;
+  std::copy_if(checker.violations().begin(), checker.violations().end(), std::back_inserter(ax7),
+               [](const AxiomViolation& v) { return v.axiom == "AX7"; });
+  ASSERT_EQ(ax7.size(), 1u) << checker.format();
+  EXPECT_EQ(ax7.front().witness, 2);
+  EXPECT_EQ(ax7.front().detail, "eta+(delta-(2)+1=11)=1 < 2") << checker.format();
+  EXPECT_NE(ax7.front().model.find("broken"), std::string::npos);
 }
 
 TEST(ModelCheckerNegative, RateAboveSlopeFiresAX14) {
