@@ -126,6 +126,20 @@ bool parse_job_line(const std::string& line, JournalEntry& e, long& rows, std::s
   return true;
 }
 
+/// One record's lines: the `job` line, then its `row` lines.
+void render_record(const JournalEntry& e, std::string& out) {
+  out.append("job fp=").append(fingerprint_hex(e.fingerprint));
+  out.append(" status=").append(e.status);
+  out.append(" attempts=").append(std::to_string(e.attempts));
+  out.append(" duration_ms=").append(std::to_string(e.duration_ms));
+  out.append(" degraded=").append(e.degraded ? "1" : "0");
+  out.append(" rows=").append(std::to_string(e.rows.size()));
+  out.append(" path=").append(e.config_path).push_back('\n');
+  for (const std::string& row : e.rows) out.append("row ").append(row).push_back('\n');
+}
+
+constexpr std::size_t kTrailerSize = 4;  ///< "end\n"
+
 }  // namespace
 
 std::uint64_t fingerprint_bytes(const void* data, std::size_t size) noexcept {
@@ -155,6 +169,7 @@ std::string fingerprint_hex(std::uint64_t fp) {
 
 bool Journal::load() {
   recovery_ = Recovery{};
+  trailer_ = kNoTrailer;
   std::ifstream in(path_, std::ios::binary);
   if (!in) return false;
   std::ostringstream buf;
@@ -168,13 +183,16 @@ bool Journal::load() {
     std::ofstream tail(recovery_.quarantine_path, std::ios::binary | std::ios::trunc);
     tail << text.substr(recovery_.valid_bytes);
     save();
+  } else {
+    // Intact means the text ends exactly with the parsed `end\n`.
+    trailer_ = recovery_.valid_bytes - kTrailerSize;
   }
   return true;
 }
 
 void Journal::add(JournalEntry entry) {
   entries_.push_back(std::move(entry));
-  save();
+  if (!append_last()) save();
 }
 
 void Journal::clear() {
@@ -196,17 +214,10 @@ const JournalEntry* Journal::find(std::uint64_t fingerprint) const {
 }
 
 std::string Journal::render() const {
-  std::ostringstream out;
-  out << kHeader << '\n';
-  for (const JournalEntry& e : entries_) {
-    out << "job fp=" << fingerprint_hex(e.fingerprint) << " status=" << e.status
-        << " attempts=" << e.attempts << " duration_ms=" << e.duration_ms
-        << " degraded=" << (e.degraded ? 1 : 0) << " rows=" << e.rows.size()
-        << " path=" << e.config_path << '\n';
-    for (const std::string& row : e.rows) out << "row " << row << '\n';
-  }
-  out << "end\n";
-  return out.str();
+  std::string out = std::string(kHeader) + '\n';
+  for (const JournalEntry& e : entries_) render_record(e, out);
+  out += "end\n";
+  return out;
 }
 
 std::vector<JournalEntry> Journal::parse(const std::string& text) {
@@ -295,18 +306,56 @@ std::vector<JournalEntry> Journal::parse_tolerant(const std::string& text, Recov
     good = pos;
   }
 
-  recovery.torn = !ended;
+  if (ended && good < text.size())
+    recovery.reason = std::to_string(text.size() - good) + " byte(s) after the 'end' trailer";
+  recovery.torn = !ended || good < text.size();
   recovery.valid_bytes = good;
   recovery.entries_kept = entries.size();
   return entries;
 }
 
-void Journal::save() const {
+bool Journal::append_last() {
+#if defined(__unix__) || defined(__APPLE__)
+  if (trailer_ == kNoTrailer) return false;
+  std::string bytes;
+  render_record(entries_.back(), bytes);
+  bytes += "end\n";
+  // Overwrite the old trailer in place.  A kill at any point leaves the
+  // previous records intact followed by a prefix of `bytes`: a torn tail
+  // that load() salvages.  Any failure falls back to a whole-file save().
+  const std::size_t at = trailer_;
+  trailer_ = kNoTrailer;
+  const int fd = ::open(path_.c_str(), O_WRONLY | O_CLOEXEC);
+  if (fd < 0) return false;
+  std::size_t done = 0;
+  while (done < bytes.size()) {
+    const ssize_t n = ::pwrite(fd, bytes.data() + done, bytes.size() - done,
+                               static_cast<off_t>(at + done));
+    if (n <= 0) break;
+    done += static_cast<std::size_t>(n);
+  }
+#if defined(__APPLE__)
+  const bool synced = done == bytes.size() && ::fsync(fd) == 0;
+#else
+  const bool synced = done == bytes.size() && ::fdatasync(fd) == 0;
+#endif
+  ::close(fd);
+  if (!synced) return false;
+  trailer_ = at + bytes.size() - kTrailerSize;
+  return true;
+#else
+  return false;  // no positioned write on this platform: save() whole
+#endif
+}
+
+void Journal::save() {
+  trailer_ = kNoTrailer;
+  const std::string text = render();
   const std::string tmp = path_ + ".tmp";
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) throw std::runtime_error("cannot write journal temp file '" + tmp + "'");
-    out << render();
+    out << text;
     out.flush();
     if (!out) throw std::runtime_error("failed writing journal temp file '" + tmp + "'");
   }
@@ -328,6 +377,7 @@ void Journal::save() const {
   // directory entry survives a power failure.  Non-fatal if it fails (the
   // data is safe; only the entry's durability window is weaker).
   (void)sync_path(parent_dir(path_), /*directory=*/true);
+  trailer_ = text.size() - kTrailerSize;
 }
 
 }  // namespace hem::exec

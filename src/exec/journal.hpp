@@ -3,11 +3,13 @@
 /// \file journal.hpp
 /// Crash-safe batch checkpoint journal.
 ///
-/// After every job that reaches a terminal state, the batch runner appends
-/// a record to `<out>.journal` and atomically replaces the file on disk
-/// (temp file + rename), so a crash or SIGKILL can never leave a torn
-/// journal: either the previous complete journal or the new complete
-/// journal is on disk.  `--resume` loads the journal, fingerprints every
+/// After every job that reaches a terminal state, the batch runner (and
+/// the daemon) appends a record to `<out>.journal`.  The append writes the
+/// record plus a fresh `end` trailer over the old trailer with one
+/// positioned write and one fdatasync, so its cost is the record's size,
+/// not the journal's.  A kill mid-append can only leave the previous
+/// journal with a torn tail after its last complete record, which load()
+/// salvages (below).  `--resume` loads the journal, fingerprints every
 /// config, and skips jobs whose (path, fingerprint) pair is already
 /// terminal — reusing the stored CSV rows so the merged report is
 /// byte-identical to an uninterrupted run.
@@ -31,11 +33,12 @@
 /// daemon skip it without re-running.
 ///
 /// Loading distinguishes two failure shapes.  A *torn tail* — the file is
-/// a truncated prefix of a valid journal, the only state a kill mid-write
-/// can leave — is recovered: every complete record before the tear is
-/// replayed, the torn bytes are quarantined to `<journal>.torn`, and the
-/// journal is rewritten valid.  *Wholesale corruption* (the header line is
-/// not even a prefix of a journal) still throws: that file was never ours.
+/// a truncated prefix of a valid journal, or a valid journal followed by
+/// stray bytes after `end`; an interrupted append leaves the first — is
+/// recovered: every complete record before the tear is replayed, the torn
+/// bytes are quarantined to `<journal>.torn`, and the journal is rewritten
+/// valid.  *Wholesale corruption* (the header line is not even a prefix of
+/// a journal) still throws: that file was never ours.
 /// See docs/robustness.md.
 
 #include <cstdint>
@@ -70,13 +73,14 @@ struct JournalEntry {
   [[nodiscard]] bool completed() const { return status == "done"; }
 };
 
-/// The journal file: an in-memory entry list mirrored to disk with an
-/// atomic whole-file rewrite after every append.
+/// The journal file: an in-memory entry list mirrored to disk.  add()
+/// appends one record over the trailer; creation, clear() and recovery
+/// replace the whole file atomically (temp file + rename).
 class Journal {
  public:
   /// Outcome of torn-tail recovery during load()/parse_tolerant().
   struct Recovery {
-    bool torn = false;              ///< the text ended mid-record / without `end`
+    bool torn = false;              ///< ended mid-record / without `end`, or bytes follow `end`
     std::size_t valid_bytes = 0;    ///< byte length of the replayable prefix
     std::size_t entries_kept = 0;   ///< complete records salvaged
     std::string reason;             ///< what the tear looked like
@@ -97,7 +101,10 @@ class Journal {
   /// is false when the file was intact.
   [[nodiscard]] const Recovery& last_recovery() const noexcept { return recovery_; }
 
-  /// Record a terminal job and atomically persist the whole journal.
+  /// Record a terminal job: write the record and a new `end` trailer at the
+  /// old trailer's offset, then fdatasync — durable before it returns.
+  /// The first add() to a journal never loaded or saved by this object,
+  /// and any add() whose append fails, rewrites the whole file instead.
   /// \throws std::runtime_error when the journal cannot be written.
   void add(JournalEntry entry);
 
@@ -127,19 +134,26 @@ class Journal {
   [[nodiscard]] static std::vector<JournalEntry> parse(const std::string& text);
 
   /// Tolerant parse: salvage the longest prefix of complete records and
-  /// report everything after it (the torn tail) in `recovery` — tolerant to
-  /// truncation at ANY byte offset of a machine-written journal.
+  /// report everything after it (the torn tail, including any bytes after
+  /// `end`) in `recovery` — tolerant to truncation at ANY byte offset of a
+  /// machine-written journal.
   /// \throws std::runtime_error only when the first line is not even a
   ///         truncation of the journal header (wholesale corruption).
   [[nodiscard]] static std::vector<JournalEntry> parse_tolerant(const std::string& text,
                                                                 Recovery& recovery);
 
  private:
-  void save() const;
+  void save();
+  [[nodiscard]] bool append_last();
+
+  /// Offset of the on-disk `end\n` trailer; kNoTrailer until this object
+  /// has loaded or written a valid file (the next add() then saves whole).
+  static constexpr std::size_t kNoTrailer = static_cast<std::size_t>(-1);
 
   std::string path_;
   std::vector<JournalEntry> entries_;
   Recovery recovery_;
+  std::size_t trailer_ = kNoTrailer;
 };
 
 }  // namespace hem::exec

@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+
+#include "exec/batch_runner.hpp"
 
 namespace hem::exec {
 namespace {
@@ -27,6 +30,22 @@ class TempFile {
  private:
   std::string path_;
 };
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+/// The disk holds exactly render(), and a fresh load() reads it back.
+void expect_disk_matches(const Journal& j, const std::string& when) {
+  EXPECT_EQ(slurp(j.path()), j.render()) << when;
+  Journal again(j.path());
+  ASSERT_TRUE(again.load()) << when;
+  EXPECT_FALSE(again.last_recovery().torn) << when;
+  EXPECT_EQ(again.render(), j.render()) << when;
+}
 
 JournalEntry entry(const std::string& path, std::uint64_t fp, const std::string& status) {
   JournalEntry e;
@@ -298,6 +317,127 @@ TEST(JournalTest, LoadStillThrowsOnForeignFile) {
   f.write("totally unrelated file contents\nnot a journal\n");
   Journal j(f.path());
   EXPECT_THROW((void)j.load(), std::runtime_error);
+}
+
+TEST(JournalTest, BytesAfterEndAreQuarantinedAndRewritten) {
+  TempFile f("journal_trailing.journal");
+  const std::string valid =
+      "hemcpa-journal v1\n"
+      "job fp=0000000000000001 status=failed attempts=1 duration_ms=1 "
+      "degraded=0 rows=0 path=a.hemcpa\n"
+      "end\n";
+  f.write(valid + "JUNK");
+  // Strict parsing refuses the stray bytes; tolerant parsing keeps the records.
+  EXPECT_THROW((void)Journal::parse(valid + "JUNK"), std::runtime_error);
+  Journal j(f.path());
+  ASSERT_TRUE(j.load());
+  ASSERT_EQ(j.entries().size(), 1u);
+  EXPECT_TRUE(j.last_recovery().torn);
+  EXPECT_EQ(j.last_recovery().valid_bytes, valid.size());
+  EXPECT_EQ(slurp(j.last_recovery().quarantine_path), "JUNK");
+  EXPECT_EQ(slurp(f.path()), valid);
+  // The next append lands over the trailer, not after the junk.
+  j.add(entry("b.hemcpa", 0x2, "done"));
+  EXPECT_EQ(slurp(f.path()), j.render());
+  std::remove(j.last_recovery().quarantine_path.c_str());
+}
+
+TEST(JournalTest, AppendedFileEqualsRender) {
+  TempFile f("journal_append_render.journal");
+  {
+    Journal j(f.path());
+    j.clear();
+    expect_disk_matches(j, "after clear");
+    for (int i = 0; i < 5; ++i) {
+      j.add(entry("c" + std::to_string(i) + ".hemcpa", 0x100 + i, i % 2 ? "failed" : "done"));
+      expect_disk_matches(j, "clear + add #" + std::to_string(i));
+    }
+  }
+  {
+    Journal j(f.path());
+    ASSERT_TRUE(j.load());
+    j.add(entry("after load.hemcpa", 0x200, "done"));
+    expect_disk_matches(j, "load + add");
+  }
+  {
+    const std::string text = slurp(f.path());
+    f.write(text.substr(0, text.size() - 9));  // torn mid-row, no `end`
+    Journal j(f.path());
+    ASSERT_TRUE(j.load());
+    ASSERT_TRUE(j.last_recovery().torn);
+    j.add(entry("after tear.hemcpa", 0x300, "cancelled"));
+    expect_disk_matches(j, "torn recovery + add");
+    std::remove(j.last_recovery().quarantine_path.c_str());
+  }
+  {
+    f.write(slurp(f.path()) + "stray bytes\nend\n");
+    Journal j(f.path());
+    ASSERT_TRUE(j.load());
+    ASSERT_TRUE(j.last_recovery().torn);
+    j.add(entry("after junk.hemcpa", 0x400, "done"));
+    expect_disk_matches(j, "bytes after end + add");
+    std::remove(j.last_recovery().quarantine_path.c_str());
+  }
+}
+
+TEST(JournalTest, InterruptedAppendKeepsEveryEarlierRecord) {
+  // A real batch journal; its last record is the append we interrupt.
+  const std::string dir = std::string(::testing::TempDir()) + "journal_interrupted_";
+  std::vector<std::string> configs;
+  for (int i = 0; i < 3; ++i) {
+    configs.push_back(dir + std::to_string(i) + ".hemcpa");
+    std::ofstream(configs.back(), std::ios::binary)
+        << "resource CPU1 spp\nsource s1 periodic period=" << 10 * (i + 1)
+        << "\ntask A resource=CPU1 priority=1 cet=" << i + 1 << "\nactivate A from=s1\n";
+  }
+  BatchOptions opt;
+  opt.journal_path = dir + "out.journal";
+  std::ostringstream baseline;
+  BatchRunner(configs, opt).run().write_csv(baseline);
+  const std::string text = slurp(opt.journal_path);
+  const std::vector<JournalEntry> all = Journal::parse(text);
+  ASSERT_EQ(all.size(), configs.size());
+
+  // The journal as it stood before the last add(), and the bytes that add()
+  // writes over its trailer: record + "end\n".
+  const std::size_t start = text.rfind("\njob ") + 1;
+  const std::string before = text.substr(0, start) + "end\n";
+  const std::string appended = text.substr(start);
+  const std::size_t record = appended.size() - 4;
+  const auto interrupted_at = [&](std::size_t k) {
+    std::string s = before;
+    s.resize(std::max(s.size(), start + k));
+    s.replace(start, k, appended, 0, k);
+    return s;
+  };
+
+  for (std::size_t k = 0; k <= appended.size(); ++k) {
+    TempFile torn("journal_interrupted_cut.journal");
+    torn.write(interrupted_at(k));
+    Journal j(torn.path());
+    ASSERT_NO_THROW((void)j.load()) << "k=" << k;
+    const std::size_t expect = all.size() - 1 + (k >= record ? 1 : 0);
+    ASSERT_EQ(j.entries().size(), expect) << "k=" << k;
+    for (std::size_t i = 0; i < expect; ++i)
+      EXPECT_EQ(j.entries()[i].config_path, all[i].config_path) << "k=" << k;
+    EXPECT_EQ(slurp(torn.path()), j.render()) << "k=" << k;
+    std::remove((torn.path() + ".torn").c_str());
+  }
+
+  // --resume from the trailer-overlap states, both sides of the record's
+  // last newline, and the finished append.
+  for (const std::size_t k :
+       std::vector<std::size_t>{0, 1, 3, 4, record / 2, record - 1, record, record + 1,
+                                appended.size()}) {
+    std::ofstream(opt.journal_path, std::ios::binary | std::ios::trunc) << interrupted_at(k);
+    BatchOptions resume = opt;
+    resume.resume = true;
+    std::ostringstream csv;
+    BatchRunner(configs, resume).run().write_csv(csv);
+    EXPECT_EQ(csv.str(), baseline.str()) << "resume from k=" << k;
+  }
+  for (const std::string& c : configs) std::remove(c.c_str());
+  for (const char* suffix : {"", ".torn"}) std::remove((opt.journal_path + suffix).c_str());
 }
 
 }  // namespace

@@ -20,11 +20,15 @@
 //                 quarantined (`poisoned`), clean jobs finish with baseline
 //                 rows, exit-code precedence holds.
 //
-//   torn-journal  truncates a real journal at every byte offset.
+//   torn-journal  truncates a real journal at every byte offset, and
+//                 replays every state an interrupted append of its last
+//                 record can leave (a prefix of record + `end` written
+//                 over the old trailer).
 //                 Invariants: Journal::load() recovers the complete-record
-//                 prefix at every cut (never throws, quarantines the torn
-//                 tail), and a --resume from a torn journal reproduces the
-//                 baseline CSV byte-for-byte.
+//                 prefix at every cut and every append state (never throws,
+//                 quarantines the torn tail, keeps the appended record
+//                 exactly when it is complete), and a --resume from any
+//                 of them reproduces the baseline CSV byte-for-byte.
 //
 //   daemon-smoke  boots an in-process hemcpad server, SIGKILLs a worker
 //                 mid-drain. Invariants: the daemon keeps serving, drains
@@ -329,22 +333,68 @@ int scenario_torn_journal(const Args& args, const fs::path& dir) {
   check(all_recover, "torn: Journal::load() recovers at every byte offset");
   check(prefix_exact, "torn: recovery never claims bytes past the cut");
 
-  bool resume_identical = true;
-  for (const std::size_t cut : resume_cuts) {
+  const auto resumes_to_baseline = [&](const std::string& journal_text) {
     const std::string resumed_journal = (dir / "resume.journal").string();
     {
       std::ofstream out(resumed_journal, std::ios::binary | std::ios::trunc);
-      out << text.substr(0, cut);
+      out << journal_text;
     }
     hem::exec::BatchOptions opt = batch_options(small, resumed_journal);
     opt.resume = true;
     hem::exec::BatchReport resumed = hem::exec::BatchRunner(configs, opt).run();
-    if (csv_of(resumed) != baseline_csv) resume_identical = false;
     fs::remove(resumed_journal);
     fs::remove(resumed_journal + ".torn");
-  }
+    return csv_of(resumed) == baseline_csv;
+  };
+
+  bool resume_identical = true;
+  for (const std::size_t cut : resume_cuts)
+    if (!resumes_to_baseline(text.substr(0, cut))) resume_identical = false;
   std::cout << "  (" << resume_cuts.size() << " distinct salvage points resumed)\n";
   check(resume_identical, "torn: --resume from any tear reproduces the baseline CSV");
+
+  // Interrupted append: Journal::add() writes `record + "end\n"` over the
+  // old trailer, so a kill leaves the journal as it stood before the last
+  // add() with the first k bytes of that write laid over its trailer.
+  const std::size_t start = text.rfind("\njob ") + 1;
+  const std::string before = text.substr(0, start) + "end\n";
+  const std::string appended = text.substr(start);
+  const std::size_t record = appended.size() - 4;
+  const std::size_t earlier = hem::exec::Journal::parse(before).size();
+  std::cout << "  replaying " << appended.size() + 1 << " interrupted-append states of a "
+            << record << "-byte record\n";
+  bool append_recovers = true;
+  bool append_keeps_exact = true;
+  bool append_resume_identical = true;
+  for (std::size_t k = 0; k <= appended.size(); ++k) {
+    std::string state = before;
+    state.resize(std::max(state.size(), start + k));
+    state.replace(start, k, appended, 0, k);
+    const fs::path torn = dir / "append.journal";
+    {
+      std::ofstream out(torn, std::ios::binary | std::ios::trunc);
+      out << state;
+    }
+    hem::exec::Journal j(torn.string());
+    try {
+      (void)j.load();
+    } catch (const std::exception&) {
+      append_recovers = false;
+      break;
+    }
+    if (j.entries().size() != earlier + (k >= record ? 1 : 0)) append_keeps_exact = false;
+    fs::remove(torn);
+    fs::remove(torn.string() + ".torn");
+    // Resume from the trailer-overlap states and both sides of the
+    // record's last newline; each costs a batch run.
+    if (k <= 4 || k + 1 == record || k == record || k == appended.size())
+      if (!resumes_to_baseline(state)) append_resume_identical = false;
+  }
+  check(append_recovers, "torn: Journal::load() recovers every interrupted-append state");
+  check(append_keeps_exact,
+        "torn: an interrupted append keeps every earlier record, and its own once complete");
+  check(append_resume_identical,
+        "torn: --resume from an interrupted append reproduces the baseline CSV");
   return 0;
 }
 
