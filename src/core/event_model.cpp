@@ -63,7 +63,7 @@ Time EventModel::delta_plus(Count n) const {
 
 Count EventModel::eta_plus(Time dt) const {
   if (dt <= 0) return 0;
-  return eta_plus_raw(dt);
+  return eta_plus_raw(dt, 1);
 }
 
 Count EventModel::eta_minus(Time dt) const {
@@ -71,17 +71,33 @@ Count EventModel::eta_minus(Time dt) const {
   return eta_minus_raw(dt);
 }
 
-Count EventModel::eta_plus_raw(Time dt) const {
+Count EventModel::eta_plus_raw(Time dt, Count from) const {
   // eq. (1): eta+(dt) = max [ { n >= 2 | delta-(n) < dt } U { 1 } ].
-  if (delta_min(2) >= dt) return 1;
-  // Galloping search for the first n with delta-(n) >= dt.
-  Count lo = 2;  // delta-(lo) < dt invariant
-  Count hi = 4;
-  while (hi <= kEtaSearchCeiling && delta_min(hi) < dt) {
-    lo = hi;
-    hi *= 2;
+  // Invariant: delta-(lo) < dt.  A search from scratch gallops over
+  // n = 2, 4, 8, ...; one resumed from a known lower bound steps 1, 2, 4,
+  // ... past it, since a growing window usually adds few events.
+  if (is_infinite_count(from)) return kCountInfinity;
+  Count lo = from;
+  Count step = 1;
+  if (lo < 2) {
+    if (delta_min(2) >= dt) return 1;
+    lo = 2;
+    step = 2;
   }
-  if (hi > kEtaSearchCeiling) return kCountInfinity;
+  // Galloping search for the first n with delta-(n) >= dt.  A stream whose
+  // delta- is still below dt at the ceiling has unbounded bursts.
+  Count hi = lo + step;
+  while (true) {
+    if (hi >= kEtaSearchCeiling) {
+      hi = kEtaSearchCeiling;
+      if (delta_min(hi) < dt) return kCountInfinity;
+      break;
+    }
+    if (delta_min(hi) >= dt) break;
+    lo = hi;
+    step *= 2;
+    hi = lo + step;
+  }
   // Binary search: find largest n in [lo, hi) with delta-(n) < dt.
   while (lo + 1 < hi) {
     const Count mid = lo + (hi - lo) / 2;

@@ -109,14 +109,19 @@ class EventModel {
   /// delta+(n) for n >= 2 (callee may assume n >= 2).
   [[nodiscard]] virtual Time delta_plus_raw(Count n) const = 0;
 
-  /// Override point for closed-form eta+ (dt > 0 guaranteed).
-  /// The default performs a galloping + binary search inversion of delta-.
-  [[nodiscard]] virtual Count eta_plus_raw(Time dt) const;
+  /// Override point for closed-form eta+ (dt > 0 guaranteed).  `from` is a
+  /// known lower bound on the result (1 when nothing is known; when
+  /// from >= 2, delta-(from) < dt).  The default inverts delta- by a
+  /// galloping + binary search that starts at `from`; closed forms may
+  /// ignore it.
+  [[nodiscard]] virtual Count eta_plus_raw(Time dt, Count from) const;
 
   /// Override point for closed-form eta- (dt > 0 guaranteed).
   [[nodiscard]] virtual Count eta_minus_raw(Time dt) const;
 
  private:
+  friend class EtaPlusCursor;
+
   // Dense memoisation of delta values, indexed by n - 2.  Activation DAGs
   // are shared between resources that the CPA engine analyses on concurrent
   // worker threads; the memo tables are lock-free (see curve_cache.hpp) so
@@ -135,6 +140,33 @@ class EventModel {
 /// interval at this n, the stream is treated as allowing unbounded bursts
 /// and `kCountInfinity` is returned.
 inline constexpr Count kEtaSearchCeiling = Count{1} << 24;
+
+/// eta+ for one stream of window queries against one model.
+///
+/// Busy-window fixpoints query eta+ at windows that only grow, and eta+ is
+/// non-decreasing in dt, so the previous answer is a lower bound for the
+/// next one: the eq.-(1) search resumes there instead of at n = 2.  A window
+/// smaller than the previous one restarts the search at 1.  For any model
+/// with a non-decreasing delta- (AX1), `at(dt)` equals `model.eta_plus(dt)`.
+/// A cursor is cheap, belongs to one query stream on one thread, and does
+/// not own the (shareable) model.
+class EtaPlusCursor {
+ public:
+  explicit EtaPlusCursor(const EventModel& model) noexcept : model_(&model) {}
+
+  [[nodiscard]] Count at(Time dt) {
+    if (dt <= 0) return 0;
+    if (dt < dt_) n_ = 1;
+    dt_ = dt;
+    n_ = model_->eta_plus_raw(dt, n_);
+    return n_;
+  }
+
+ private:
+  const EventModel* model_;
+  Time dt_ = 0;  ///< window of the last query
+  Count n_ = 1;  ///< eta+(dt_), or 1 before the first query
+};
 
 /// Compare two models by sampling both delta curves on n in [2, n_max].
 /// Used for CPA fixpoint detection and in tests.

@@ -52,7 +52,7 @@ Time StandardEventModel::delta_plus_raw(Count n) const {
   return sat_add(sat_mul(period_, n - 1), jitter_);
 }
 
-Count StandardEventModel::eta_plus_raw(Time dt) const {
+Count StandardEventModel::eta_plus_raw(Time dt, Count /*from*/) const {
   // Largest n with delta-(n) < dt, i.e. both (n-1)P - J < dt and
   // (n-1)dmin < dt.  Each bound inverts to a ceiling expression.
   if (is_infinite(dt)) return kCountInfinity;

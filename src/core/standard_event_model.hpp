@@ -49,7 +49,7 @@ class StandardEventModel final : public EventModel {
  protected:
   [[nodiscard]] Time delta_min_raw(Count n) const override;
   [[nodiscard]] Time delta_plus_raw(Count n) const override;
-  [[nodiscard]] Count eta_plus_raw(Time dt) const override;
+  [[nodiscard]] Count eta_plus_raw(Time dt, Count from) const override;
   [[nodiscard]] Count eta_minus_raw(Time dt) const override;
 
  private:

@@ -19,57 +19,84 @@ obs::Histogram& g_fixpoint_hist =
 
 }  // namespace
 
-Time least_fixpoint(const std::function<Time(Time)>& f, Time start, const FixpointLimits& limits,
-                    const std::string& what) {
-  const bool bounded_clock =
-      limits.deadline != std::chrono::steady_clock::time_point::max();
-  Time w = start;
-  for (long it = 0; it < limits.max_iterations; ++it) {
-    if ((it & 4095) == 0) {
-      if (limits.cancel != nullptr && limits.cancel->cancelled())
-        throw AnalysisError(what + ": cancelled (" +
-                                std::string(exec::to_string(limits.cancel->reason())) +
-                                ") after " + std::to_string(it) + " fixpoint steps",
-                            ErrorCode::kCancelled);
-      if (bounded_clock && std::chrono::steady_clock::now() >= limits.deadline)
-        throw AnalysisError(what + ": wall-clock budget exhausted after " + std::to_string(it) +
-                                " fixpoint steps",
-                            ErrorCode::kTimeBudget);
-    }
-    const Time next = f(w);
-    if (next < w)
+namespace detail {
+
+std::optional<FixpointFailure> fixpoint_interrupted(const FixpointLimits& limits) {
+  if (limits.cancel != nullptr && limits.cancel->cancelled()) return FixpointFailure::kCancelled;
+  if (limits.deadline != std::chrono::steady_clock::time_point::max() &&
+      std::chrono::steady_clock::now() >= limits.deadline)
+    return FixpointFailure::kTimeBudget;
+  return std::nullopt;
+}
+
+void throw_fixpoint_failure(FixpointFailure failure, const std::string& what, long steps,
+                            const FixpointLimits& limits) {
+  switch (failure) {
+    case FixpointFailure::kCancelled:
+      throw AnalysisError(what + ": cancelled (" +
+                              std::string(exec::to_string(limits.cancel->reason())) +
+                              ") after " + std::to_string(steps) + " fixpoint steps",
+                          ErrorCode::kCancelled);
+    case FixpointFailure::kTimeBudget:
+      throw AnalysisError(what + ": wall-clock budget exhausted after " +
+                              std::to_string(steps) + " fixpoint steps",
+                          ErrorCode::kTimeBudget);
+    case FixpointFailure::kNotMonotone:
       throw AnalysisError(what + ": demand function is not monotone (internal error)");
-    if (next == w) {
-      if (obs::counting()) {
-        g_fixpoint_candidates.add(1);
-        g_fixpoint_steps.add(it + 1);
-        g_fixpoint_hist.record(it + 1);
-      }
-      return w;
-    }
-    if (next > limits.max_window)
+    case FixpointFailure::kWindowLimit:
       throw AnalysisError(what + ": busy window exceeds limit (" +
                               std::to_string(limits.max_window) +
                               " ticks) - resource overloaded?",
                           ErrorCode::kWindowLimit);
-    w = next;
+    case FixpointFailure::kIterationLimit:
+      break;
   }
   throw AnalysisError(what + ": fixpoint iteration did not converge within " +
                           std::to_string(limits.max_iterations) + " steps",
                       ErrorCode::kIterationLimit);
 }
 
+void record_fixpoint(long steps) {
+  if (!obs::counting()) return;
+  g_fixpoint_candidates.add(1);
+  g_fixpoint_steps.add(steps);
+  g_fixpoint_hist.record(steps);
+}
+
+}  // namespace detail
+
 Count backlog_bound(const EventModel& activation, const std::vector<Time>& completion_times) {
+  // backlog(q) = q - #{p | w(p) <= delta-(q)}.  Over the sorted completion
+  // times that count is a pointer following delta-(q): forward while it
+  // grows (always, for a well-formed model), backward should it shrink.
+  std::vector<Time> sorted;
+  const std::vector<Time>* w = &completion_times;
+  if (!std::is_sorted(completion_times.begin(), completion_times.end())) {
+    sorted = completion_times;
+    std::sort(sorted.begin(), sorted.end());
+    w = &sorted;
+  }
+  const std::size_t size = w->size();
   Count worst = 0;
-  for (Count q = 1; q <= static_cast<Count>(completion_times.size()); ++q) {
-    const Time arrival = activation.delta_min(q);
-    Count completed = 0;
-    for (const Time w : completion_times) {
-      if (w <= arrival) ++completed;
-    }
-    worst = std::max(worst, q - completed);
+  std::size_t completed = 0;
+  for (std::size_t q = 1; q <= size; ++q) {
+    const Time arrival = activation.delta_min(static_cast<Count>(q));
+    while (completed < size && (*w)[completed] <= arrival) ++completed;
+    while (completed > 0 && (*w)[completed - 1] > arrival) --completed;
+    worst = std::max(worst, static_cast<Count>(q - completed));
   }
   return worst;
+}
+
+void throw_unbounded_burst(std::string_view analysis, const std::string& task) {
+  throw AnalysisError(std::string(analysis) + ": unbounded burst from '" + task + "'");
+}
+
+HigherPriorityDemand::HigherPriorityDemand(const std::vector<TaskParams>& tasks,
+                                           const TaskParams& self, std::string_view analysis)
+    : analysis_(analysis) {
+  for (const auto& t : tasks)
+    if (t.priority < self.priority) hp_.push_back({&t, EtaPlusCursor(*t.activation)});
 }
 
 void validate_priority_task_set(const std::vector<TaskParams>& tasks, const std::string& what) {

@@ -16,8 +16,10 @@
 /// to the critical instant.
 
 #include <chrono>
-#include <functional>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "core/event_model.hpp"
@@ -87,11 +89,102 @@ struct FixpointLimits {
   const exec::CancelToken* cancel = nullptr;
 };
 
+namespace detail {
+
+/// Failure kinds of `least_fixpoint`; each maps to one error text.
+enum class FixpointFailure { kCancelled, kTimeBudget, kNotMonotone, kWindowLimit, kIterationLimit };
+
+/// The interruption pending at a checkpoint (cancel token, then deadline).
+[[nodiscard]] std::optional<FixpointFailure> fixpoint_interrupted(const FixpointLimits& limits);
+
+/// Throw the AnalysisError for `failure` after `steps` steps of the fixpoint
+/// named `what`.
+[[noreturn]] void throw_fixpoint_failure(FixpointFailure failure, const std::string& what,
+                                         long steps, const FixpointLimits& limits);
+
+/// Record one converged fixpoint and its step count in the obs probes.
+void record_fixpoint(long steps);
+
+template <class Label>
+[[nodiscard]] std::string render_label(const Label& what) {
+  if constexpr (std::is_invocable_v<const Label&>)
+    return std::string(what());
+  else
+    return std::string(what);
+}
+
+}  // namespace detail
+
 /// Least fixpoint of the monotone demand function `f`, starting from
-/// `start`:  w_{k+1} = f(w_k) until w stabilises.
+/// `start`:  w_{k+1} = f(w_k) until w stabilises.  `what` names the fixpoint
+/// in error messages: a string, or a callable returning one, which is only
+/// invoked when the fixpoint fails.  Nothing is allocated on success.
 /// \throws AnalysisError when limits are exceeded.
-[[nodiscard]] Time least_fixpoint(const std::function<Time(Time)>& f, Time start,
-                                  const FixpointLimits& limits, const std::string& what);
+template <class F, class Label>
+[[nodiscard]] Time least_fixpoint(F&& f, Time start, const FixpointLimits& limits,
+                                  const Label& what) {
+  using detail::FixpointFailure;
+  using detail::render_label;
+  using detail::throw_fixpoint_failure;
+  Time w = start;
+  for (long it = 0; it < limits.max_iterations; ++it) {
+    if ((it & 4095) == 0) {
+      if (const auto interrupted = detail::fixpoint_interrupted(limits))
+        throw_fixpoint_failure(*interrupted, render_label(what), it, limits);
+    }
+    const Time next = f(w);
+    if (next < w)
+      throw_fixpoint_failure(FixpointFailure::kNotMonotone, render_label(what), it, limits);
+    if (next == w) {
+      detail::record_fixpoint(it + 1);
+      return w;
+    }
+    if (next > limits.max_window)
+      throw_fixpoint_failure(FixpointFailure::kWindowLimit, render_label(what), it, limits);
+    w = next;
+  }
+  throw_fixpoint_failure(FixpointFailure::kIterationLimit, render_label(what),
+                         limits.max_iterations, limits);
+}
+
+/// Throw "<analysis>: unbounded burst from '<task>'" (AnalysisError).
+[[noreturn]] void throw_unbounded_burst(std::string_view analysis, const std::string& task);
+
+/// eta+(dt) through `cursor`; throws `throw_unbounded_burst` when infinite.
+[[nodiscard]] inline Count bounded_eta_plus(EtaPlusCursor& cursor, Time dt,
+                                            std::string_view analysis, const std::string& task) {
+  const Count n = cursor.at(dt);
+  if (is_infinite_count(n)) throw_unbounded_burst(analysis, task);
+  return n;
+}
+
+/// Demand of the tasks with a higher priority than `self` in the CLOSED
+/// window [0, w]: sum_j C+_j * eta+_j(w + 1).  A higher-priority job released
+/// at the very completion instant still preempts under tie-breaking-by-
+/// priority semantics (eta+ uses strict inequalities, hence the +1).  Holds
+/// one eta+ cursor per interferer, so the growing windows of a busy period,
+/// and then of the q loop, resume each search where the last one ended.
+class HigherPriorityDemand {
+ public:
+  HigherPriorityDemand(const std::vector<TaskParams>& tasks, const TaskParams& self,
+                       std::string_view analysis);
+
+  [[nodiscard]] Time operator()(Time w) {
+    Time sum = 0;
+    for (Interferer& j : hp_)
+      sum = sat_add(sum, sat_mul(j.task->cet.worst,
+                                 bounded_eta_plus(j.eta, sat_add(w, 1), analysis_, j.task->name)));
+    return sum;
+  }
+
+ private:
+  struct Interferer {
+    const TaskParams* task;
+    EtaPlusCursor eta;
+  };
+  std::vector<Interferer> hp_;
+  std::string_view analysis_;
+};
 
 /// Validate a task set for priority-based analyses: non-empty names,
 /// pairwise distinct priorities, non-null activation models.

@@ -19,32 +19,20 @@ Time CanBusAnalysis::blocking(std::size_t index) const {
 
 ResponseResult CanBusAnalysis::analyze(std::size_t index) const {
   const TaskParams& self = frames_.at(index);
-  std::vector<const TaskParams*> hp;
-  for (const auto& f : frames_)
-    if (f.priority < self.priority) hp.push_back(&f);
   const Time block = blocking(index);
-
-  const auto interference = [&](Time w) {
-    Time sum = 0;
-    for (const TaskParams* j : hp) {
-      const Count n = j->activation->eta_plus(sat_add(w, 1));
-      if (is_infinite_count(n))
-        throw AnalysisError("CanBusAnalysis: unbounded burst from '" + j->name + "'");
-      sum = sat_add(sum, sat_mul(j->cet.worst, n));
-    }
-    return sum;
-  };
+  HigherPriorityDemand interference(frames_, self, "CanBusAnalysis");
+  EtaPlusCursor own(*self.activation);
 
   const Time busy = least_fixpoint(
       [&](Time w) {
-        const Count own = self.activation->eta_plus(w);
-        if (is_infinite_count(own))
-          throw AnalysisError("CanBusAnalysis: unbounded burst from '" + self.name + "'");
-        return sat_add(block, sat_add(sat_mul(self.cet.worst, own), interference(w)));
+        const Time demand =
+            sat_mul(self.cet.worst, bounded_eta_plus(own, w, "CanBusAnalysis", self.name));
+        return sat_add(block, sat_add(demand, interference(w)));
       },
-      sat_add(block, self.cet.worst), limits_, "CanBusAnalysis(" + self.name + ") busy period");
+      sat_add(block, self.cet.worst), limits_,
+      [&] { return "CanBusAnalysis(" + self.name + ") busy period"; });
 
-  const Count q_max = std::max<Count>(1, self.activation->eta_plus(busy));
+  const Count q_max = std::max<Count>(1, own.at(busy));
 
   ResponseResult res;
   res.name = self.name;
@@ -59,7 +47,7 @@ ResponseResult CanBusAnalysis::analyze(std::size_t index) const {
     const Time base = sat_add(block, sat_mul(self.cet.worst, q - 1));
     const Time w = least_fixpoint(
         [&](Time w_cur) { return sat_add(base, interference(w_cur)); }, std::max(w_prev, base),
-        limits_, "CanBusAnalysis(" + self.name + ") q=" + std::to_string(q));
+        limits_, [&] { return "CanBusAnalysis(" + self.name + ") q=" + std::to_string(q); });
     w_prev = w;
     completions.push_back(w + self.cet.worst);
     const Time response = w + self.cet.worst - self.activation->delta_min(q);

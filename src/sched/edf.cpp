@@ -35,14 +35,16 @@ Time EdfAnalysis::demand_bound(Time t) const {
 }
 
 Time EdfAnalysis::busy_period() const {
+  std::vector<EtaPlusCursor> eta;
+  eta.reserve(tasks_.size());
+  for (const auto& t : tasks_) eta.emplace_back(*t.params.activation);
   return least_fixpoint(
       [&](Time w) {
         Time sum = 0;
-        for (const auto& t : tasks_) {
-          const Count n = t.params.activation->eta_plus(w);
-          if (is_infinite_count(n))
-            throw AnalysisError("EdfAnalysis: unbounded burst from '" + t.params.name + "'");
-          sum = sat_add(sum, sat_mul(t.params.cet.worst, n));
+        for (std::size_t i = 0; i < tasks_.size(); ++i) {
+          const auto& t = tasks_[i].params;
+          sum = sat_add(sum, sat_mul(t.cet.worst, bounded_eta_plus(eta[i], w, "EdfAnalysis",
+                                                                   t.name)));
         }
         return std::max<Time>(sum, 1);
       },
@@ -75,6 +77,13 @@ ResponseResult EdfAnalysis::analyze(std::size_t index) const {
   res.busy_period = horizon;
   res.activations = q_max;
 
+  // One arrival cursor per task (self's is unused).  Each candidate's
+  // fixpoint restarts at C*q, so the cursors resume only within it.
+  std::vector<EtaPlusCursor> by_arrival;
+  by_arrival.reserve(tasks_.size());
+  for (const auto& t : tasks_) by_arrival.emplace_back(*t.params.activation);
+  std::vector<Count> by_deadline(tasks_.size());
+
   for (Count q = 1; q <= q_max; ++q) {
     // Spuri-style offset scan: the deadline busy period may start x ticks
     // BEFORE the first job of the analysed task arrives, admitting more
@@ -97,22 +106,25 @@ ResponseResult EdfAnalysis::analyze(std::size_t index) const {
     for (const Time x : candidates) {
       const Time arrival = x + self.params.activation->delta_min(q);
       const Time deadline_abs = arrival + self.deadline;
+      // Jobs of another task with absolute deadline <= ours: fixed for this
+      // candidate; -1 marks self and tasks whose every deadline is later.
+      for (std::size_t j = 0; j < tasks_.size(); ++j) {
+        const auto& other = tasks_[j];
+        const Time dl_window = deadline_abs - other.deadline + 1;
+        by_deadline[j] =
+            j == index || dl_window <= 0 ? -1 : other.params.activation->eta_plus(dl_window);
+      }
       // Interference: jobs of other tasks arriving in the busy window with
       // absolute deadline <= ours.
       const auto interference = [&](Time w) {
         Time sum = 0;
         for (std::size_t j = 0; j < tasks_.size(); ++j) {
-          if (j == index) continue;
+          if (by_deadline[j] < 0) continue;
           const auto& other = tasks_[j];
-          const Time dl_window = deadline_abs - other.deadline + 1;
-          if (dl_window <= 0) continue;
-          const Count by_deadline = other.params.activation->eta_plus(dl_window);
-          const Count by_arrival = other.params.activation->eta_plus(sat_add(w, 1));
-          if (is_infinite_count(by_deadline) || is_infinite_count(by_arrival))
-            throw AnalysisError("EdfAnalysis: unbounded burst from '" + other.params.name +
-                                "'");
-          sum =
-              sat_add(sum, sat_mul(other.params.cet.worst, std::min(by_deadline, by_arrival)));
+          const Count arrived = by_arrival[j].at(sat_add(w, 1));
+          if (is_infinite_count(by_deadline[j]) || is_infinite_count(arrived))
+            throw_unbounded_burst("EdfAnalysis", other.params.name);
+          sum = sat_add(sum, sat_mul(other.params.cet.worst, std::min(by_deadline[j], arrived)));
         }
         return sum;
       };
@@ -121,7 +133,7 @@ ResponseResult EdfAnalysis::analyze(std::size_t index) const {
             return sat_add(sat_mul(self.params.cet.worst, q), interference(w_cur));
           },
           sat_mul(self.params.cet.worst, q), limits_,
-          "EdfAnalysis(" + self.params.name + ") q=" + std::to_string(q));
+          [&] { return "EdfAnalysis(" + self.params.name + ") q=" + std::to_string(q); });
       if (w <= arrival) continue;  // busy period ends before our job arrives: infeasible x
       res.wcrt = std::max(res.wcrt, w - arrival);
     }

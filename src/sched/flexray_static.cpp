@@ -25,18 +25,16 @@ ResponseResult FlexRayStaticAnalysis::analyze(std::size_t index) const {
   const Time c = self.params.cet.worst;
 
   // Busy period: one slot per cycle serves the backlog.
+  EtaPlusCursor own(*self.params.activation);
   const Time busy = least_fixpoint(
       [&](Time w) {
-        const Count n = self.params.activation->eta_plus(w);
-        if (is_infinite_count(n))
-          throw AnalysisError("FlexRayStaticAnalysis: unbounded burst from '" +
-                              self.params.name + "'");
+        const Count n = bounded_eta_plus(own, w, "FlexRayStaticAnalysis", self.params.name);
         return sat_add(sat_mul(cycle_, std::max<Count>(1, n)), c);
       },
       sat_add(cycle_, c), limits_,
-      "FlexRayStaticAnalysis(" + self.params.name + ") busy period");
+      [&] { return "FlexRayStaticAnalysis(" + self.params.name + ") busy period"; });
 
-  const Count q_max = std::max<Count>(1, self.params.activation->eta_plus(busy));
+  const Count q_max = std::max<Count>(1, own.at(busy));
 
   ResponseResult res;
   res.name = self.params.name;

@@ -74,34 +74,24 @@ ServerSppAnalysis::ServerSppAnalysis(const PeriodicServer& server,
 
 ResponseResult ServerSppAnalysis::analyze(std::size_t index) const {
   const TaskParams& self = tasks_.at(index);
-  std::vector<const TaskParams*> hp;
-  for (const auto& t : tasks_)
-    if (t.priority < self.priority) hp.push_back(&t);
+  HigherPriorityDemand interference(tasks_, self, "ServerSppAnalysis");
+  EtaPlusCursor own(*self.activation);
 
   // Closed-window interference (+1), matching the SPP convention.
   const auto demand = [&](Time w, Count q) {
-    Time sum = sat_mul(self.cet.worst, q);
-    for (const TaskParams* j : hp) {
-      const Count n = j->activation->eta_plus(sat_add(w, 1));
-      if (is_infinite_count(n))
-        throw AnalysisError("ServerSppAnalysis: unbounded burst from '" + j->name + "'");
-      sum = sat_add(sum, sat_mul(j->cet.worst, n));
-    }
-    return sum;
+    return sat_add(sat_mul(self.cet.worst, q), interference(w));
   };
 
   // Busy period in physical time: smallest t with sbf(t) >= level-i demand.
   const Time busy = least_fixpoint(
       [&](Time w) {
-        const Count own = self.activation->eta_plus(w);
-        if (is_infinite_count(own))
-          throw AnalysisError("ServerSppAnalysis: unbounded burst from '" + self.name + "'");
-        return supply_->sbf_inverse(demand(w, std::max<Count>(1, own)));
+        const Count n = bounded_eta_plus(own, w, "ServerSppAnalysis", self.name);
+        return supply_->sbf_inverse(demand(w, std::max<Count>(1, n)));
       },
       supply_->sbf_inverse(self.cet.worst), limits_,
-      "ServerSppAnalysis(" + self.name + ") busy period");
+      [&] { return "ServerSppAnalysis(" + self.name + ") busy period"; });
 
-  const Count q_max = std::max<Count>(1, self.activation->eta_plus(busy));
+  const Count q_max = std::max<Count>(1, own.at(busy));
 
   ResponseResult res;
   res.name = self.name;
@@ -115,7 +105,7 @@ ResponseResult ServerSppAnalysis::analyze(std::size_t index) const {
     const Time w = least_fixpoint(
         [&](Time w_cur) { return supply_->sbf_inverse(demand(w_cur, q)); },
         std::max(w_prev, supply_->sbf_inverse(sat_mul(self.cet.worst, q))), limits_,
-        "ServerSppAnalysis(" + self.name + ") q=" + std::to_string(q));
+        [&] { return "ServerSppAnalysis(" + self.name + ") q=" + std::to_string(q); });
     w_prev = w;
     res.wcrt = std::max(res.wcrt, w - self.activation->delta_min(q));
   }

@@ -19,16 +19,17 @@ RoundRobinAnalysis::RoundRobinAnalysis(std::vector<RoundRobinTask> tasks, Fixpoi
 
 ResponseResult RoundRobinAnalysis::analyze(std::size_t index) const {
   const RoundRobinTask& self = tasks_.at(index);
+  std::vector<EtaPlusCursor> eta;  // one cursor per task, self's for its own activations
+  eta.reserve(tasks_.size());
+  for (const auto& t : tasks_) eta.emplace_back(*t.params.activation);
 
   const auto interference = [&](Time w, Count rounds) {
     Time sum = 0;
     for (std::size_t j = 0; j < tasks_.size(); ++j) {
       if (j == index) continue;
       const auto& other = tasks_[j];
-      const Count n = other.params.activation->eta_plus(sat_add(w, 1));
-      if (is_infinite_count(n))
-        throw AnalysisError("RoundRobinAnalysis: unbounded burst from '" + other.params.name +
-                            "'");
+      const Count n =
+          bounded_eta_plus(eta[j], sat_add(w, 1), "RoundRobinAnalysis", other.params.name);
       const Time by_demand = sat_mul(other.params.cet.worst, n);
       const Time by_slots = sat_mul(other.slot, rounds);
       sum = sat_add(sum, std::min(by_demand, by_slots));
@@ -42,17 +43,15 @@ ResponseResult RoundRobinAnalysis::analyze(std::size_t index) const {
     return static_cast<Count>(ceil_div(std::max<Time>(1, sat_mul(c, q)), self.slot));
   };
 
+  EtaPlusCursor& own = eta[index];
   const Time busy = least_fixpoint(
       [&](Time w) {
-        const Count own = self.params.activation->eta_plus(w);
-        if (is_infinite_count(own))
-          throw AnalysisError("RoundRobinAnalysis: unbounded burst from '" + self.params.name +
-                              "'");
-        return sat_add(sat_mul(c, own), interference(w, rounds_for(std::max<Count>(1, own))));
+        const Count n = bounded_eta_plus(own, w, "RoundRobinAnalysis", self.params.name);
+        return sat_add(sat_mul(c, n), interference(w, rounds_for(std::max<Count>(1, n))));
       },
-      c, limits_, "RoundRobinAnalysis(" + self.params.name + ") busy period");
+      c, limits_, [&] { return "RoundRobinAnalysis(" + self.params.name + ") busy period"; });
 
-  const Count q_max = std::max<Count>(1, self.params.activation->eta_plus(busy));
+  const Count q_max = std::max<Count>(1, own.at(busy));
 
   ResponseResult res;
   res.name = self.params.name;
@@ -66,7 +65,7 @@ ResponseResult RoundRobinAnalysis::analyze(std::size_t index) const {
     const Time w = least_fixpoint(
         [&](Time w_cur) { return sat_add(sat_mul(c, q), interference(w_cur, rounds)); },
         std::max(w_prev, sat_mul(c, q)), limits_,
-        "RoundRobinAnalysis(" + self.params.name + ") q=" + std::to_string(q));
+        [&] { return "RoundRobinAnalysis(" + self.params.name + ") q=" + std::to_string(q); });
     w_prev = w;
     res.wcrt = std::max(res.wcrt, w - self.params.activation->delta_min(q));
   }

@@ -11,36 +11,19 @@ SppAnalysis::SppAnalysis(std::vector<TaskParams> tasks, FixpointLimits limits)
 
 ResponseResult SppAnalysis::analyze(std::size_t index) const {
   const TaskParams& self = tasks_.at(index);
-  std::vector<const TaskParams*> hp;
-  for (const auto& t : tasks_)
-    if (t.priority < self.priority) hp.push_back(&t);
-
-  // Interference counts arrivals in the CLOSED window [0, w]: a
-  // higher-priority job released at the very completion instant still
-  // preempts under tie-breaking-by-priority semantics (eta+ uses strict
-  // inequalities, hence the +1).
-  const auto interference = [&](Time w) {
-    Time sum = 0;
-    for (const TaskParams* j : hp) {
-      const Count n = j->activation->eta_plus(sat_add(w, 1));
-      if (is_infinite_count(n))
-        throw AnalysisError("SppAnalysis: unbounded burst from '" + j->name + "'");
-      sum = sat_add(sum, sat_mul(j->cet.worst, n));
-    }
-    return sum;
-  };
+  HigherPriorityDemand interference(tasks_, self, "SppAnalysis");
+  EtaPlusCursor own(*self.activation);
 
   // Maximal level-i busy period.
   const Time busy = least_fixpoint(
       [&](Time w) {
-        const Count own = self.activation->eta_plus(w);
-        if (is_infinite_count(own))
-          throw AnalysisError("SppAnalysis: unbounded burst from '" + self.name + "'");
-        return sat_add(sat_mul(self.cet.worst, own), interference(w));
+        const Time demand =
+            sat_mul(self.cet.worst, bounded_eta_plus(own, w, "SppAnalysis", self.name));
+        return sat_add(demand, interference(w));
       },
-      self.cet.worst, limits_, "SppAnalysis(" + self.name + ") busy period");
+      self.cet.worst, limits_, [&] { return "SppAnalysis(" + self.name + ") busy period"; });
 
-  const Count q_max = std::max<Count>(1, self.activation->eta_plus(busy));
+  const Count q_max = std::max<Count>(1, own.at(busy));
 
   ResponseResult res;
   res.name = self.name;
@@ -55,7 +38,7 @@ ResponseResult SppAnalysis::analyze(std::size_t index) const {
     const Time w = least_fixpoint(
         [&](Time w_cur) { return sat_add(sat_mul(self.cet.worst, q), interference(w_cur)); },
         std::max(w_prev, sat_mul(self.cet.worst, q)), limits_,
-        "SppAnalysis(" + self.name + ") q=" + std::to_string(q));
+        [&] { return "SppAnalysis(" + self.name + ") q=" + std::to_string(q); });
     w_prev = w;
     completions.push_back(w);
     const Time response = w - self.activation->delta_min(q);

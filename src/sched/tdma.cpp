@@ -49,16 +49,16 @@ ResponseResult TdmaAnalysis::analyze(std::size_t index) const {
   const Time c = self.params.cet.worst;
 
   // Busy period: smallest t with service(t) >= demand(t).
+  EtaPlusCursor own(*self.params.activation);
   const Time busy = least_fixpoint(
       [&](Time w) {
-        const Count own = self.params.activation->eta_plus(w);
-        if (is_infinite_count(own))
-          throw AnalysisError("TdmaAnalysis: unbounded burst from '" + self.params.name + "'");
-        return service_inverse(index, sat_mul(c, std::max<Count>(1, own)));
+        const Count n = bounded_eta_plus(own, w, "TdmaAnalysis", self.params.name);
+        return service_inverse(index, sat_mul(c, std::max<Count>(1, n)));
       },
-      service_inverse(index, c), limits_, "TdmaAnalysis(" + self.params.name + ") busy period");
+      service_inverse(index, c), limits_,
+      [&] { return "TdmaAnalysis(" + self.params.name + ") busy period"; });
 
-  const Count q_max = std::max<Count>(1, self.params.activation->eta_plus(busy));
+  const Count q_max = std::max<Count>(1, own.at(busy));
 
   ResponseResult res;
   res.name = self.params.name;

@@ -357,7 +357,9 @@ class BrokenEtaPlusModel final : public EventModel {
  protected:
   [[nodiscard]] Time delta_min_raw(Count n) const override { return sat_mul(100, n - 1); }
   [[nodiscard]] Time delta_plus_raw(Count n) const override { return sat_mul(100, n - 1); }
-  [[nodiscard]] Count eta_plus_raw(Time dt) const override { return dt % 2 == 1 ? 100 : 1; }
+  [[nodiscard]] Count eta_plus_raw(Time dt, Count /*from*/) const override {
+    return dt % 2 == 1 ? 100 : 1;
+  }
 };
 
 /// Correct periodic deltas but a closed-form eta+ that ignores them: eta+
@@ -370,7 +372,9 @@ class BrokenEtaInverseModel final : public EventModel {
  protected:
   [[nodiscard]] Time delta_min_raw(Count n) const override { return sat_mul(100, n - 1); }
   [[nodiscard]] Time delta_plus_raw(Count n) const override { return sat_mul(100, n - 1); }
-  [[nodiscard]] Count eta_plus_raw(Time /*dt*/) const override { return 1; }
+  [[nodiscard]] Count eta_plus_raw(Time /*dt*/, Count /*from*/) const override {
+    return 1;
+  }
 };
 
 }  // namespace

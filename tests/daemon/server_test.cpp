@@ -29,14 +29,21 @@ const char* kTinyConfig =
     "task A resource=CPU1 priority=1 cet=2\n"
     "activate A from=s1\n";
 
-/// High-load burst config: analysis time grows with `jitter` (about 300 ms
-/// at 2'000'000 on a debug build), and distinct jitters give distinct
-/// fingerprints and task signatures, so slow jobs never hit cache/journal.
+/// A job that runs for a while: the EDF offset scan pairs every activation
+/// of one task in the busy period with every deadline of the other, and
+/// the busy period grows with the jitter, so the analysis time grows with
+/// its square (about 0.3 s at jitter 2e6 and 1.1 s at 4e6 in a
+/// RelWithDebInfo build on a 4-core x86 host).  Distinct jitters give
+/// distinct fingerprints and task signatures, so slow jobs never hit
+/// cache/journal.
 std::string slow_config(long jitter) {
-  return "resource R spp\n"
-         "source s sem period=1000 jitter=" + std::to_string(jitter) + "\n"
-         "task H resource=R priority=2 cet=900\n"
+  return "resource R edf\n"
+         "source s sem period=6000 jitter=" + std::to_string(jitter) + "\n"
+         "source t periodic period=6000\n"
+         "task H resource=R priority=1 cet=2700 deadline=600000\n"
+         "task L resource=R priority=2 cet=2400 deadline=300000\n"
          "activate H from=s\n"
+         "activate L from=t\n"
          "option overload_check=off\n";
 }
 

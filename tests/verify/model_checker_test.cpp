@@ -303,14 +303,14 @@ class BrokenModel final : public EventModel {
     }
   }
 
-  [[nodiscard]] Count eta_plus_raw(Time dt) const override {
+  [[nodiscard]] Count eta_plus_raw(Time dt, Count from) const override {
     switch (mode_) {
       case Mode::kEtaPlusNonMonotone:
         return dt % 2 == 0 ? 100 : 1;
       case Mode::kEtaPlusTooSmall:
         return 1;
       default:
-        return EventModel::eta_plus_raw(dt);
+        return EventModel::eta_plus_raw(dt, from);
     }
   }
 

@@ -124,15 +124,20 @@ std::string quick_config(std::uint64_t seed, int index) {
   return hem::scenarios::to_config_text(hem::scenarios::build_synth_system(p));
 }
 
-/// Slow config for the kill-storm: analysis time grows with the jitter
-/// (hundreds of milliseconds), so workers live long enough to be murdered.
-/// Distinct jitters give distinct fingerprints and results.
-std::string slow_config(int index) {
-  return "resource R spp\n"
-         "source s sem period=1000 jitter=" + std::to_string(600'000 + 1'000 * index) +
-         "\n"
-         "task H resource=R priority=2 cet=900\n"
+/// Slow config: the EDF offset scan pairs every activation of one task in
+/// the busy period with every deadline of the other, and the busy period
+/// grows with the jitter, so analysis time grows with its square (about
+/// 15 ms at jitter 5e5 and 0.3 s at 2e6 in a RelWithDebInfo build on a
+/// 4-core x86 host) and workers live long enough to be murdered.  Distinct
+/// jitters give distinct fingerprints and results.
+std::string slow_config(long jitter) {
+  return "resource R edf\n"
+         "source s sem period=6000 jitter=" + std::to_string(jitter) + "\n"
+         "source t periodic period=6000\n"
+         "task H resource=R priority=1 cet=2700 deadline=600000\n"
+         "task L resource=R priority=2 cet=2400 deadline=300000\n"
          "activate H from=s\n"
+         "activate L from=t\n"
          "option overload_check=off\n";
 }
 
@@ -157,7 +162,9 @@ std::vector<std::string> write_fleet(const fs::path& dir, const Args& args,
     name << (i < 10 ? "0" : "") << i << (crash ? "_crash" : "_ok") << ".hemcpa";
     const fs::path p = dir / name.str();
     std::ofstream out(p, std::ios::binary);
-    out << (crash ? crasher_config(fault) : slow ? slow_config(i) : quick_config(args.seed, i));
+    out << (crash  ? crasher_config(fault)
+            : slow ? slow_config(500'000 + 1'000 * i)
+                   : quick_config(args.seed, i));
     configs.push_back(p.string());
   }
   return configs;
@@ -419,13 +426,7 @@ int scenario_daemon_smoke(const Args& args, const fs::path& dir) {
     // workers alive long enough to be murdered mid-drain.
     std::vector<std::uint64_t> ids;
     for (int i = 0; i < 4; ++i) {
-      const std::string slow =
-          "resource R spp\n"
-          "source s sem period=1000 jitter=" + std::to_string(2'000'000 + i) +
-          "\n"
-          "task H resource=R priority=2 cet=900\n"
-          "activate H from=s\n"
-          "option overload_check=off\n";
+      const std::string slow = slow_config(2'000'000 + i);
       const std::string sub = client.submit(slow, {{"label", "slow" + std::to_string(i)}});
       check(hem::daemon::json_find(sub, "ok") == "true", "daemon: submit accepted");
       ids.push_back(std::stoull(hem::daemon::json_find(sub, "id")));

@@ -12,7 +12,8 @@
 // determinism, axioms, degradation.  Variants the engine itself
 // rejects (analysis preconditions a lexical mutation can break, e.g.
 // duplicate priorities) are counted and skipped — every oracle would see
-// the same exception, which is agreement, not a differential.  Failures
+// the same exception, which is agreement, not a differential; the summary
+// lists them grouped by the first line of the exception.  Failures
 // are bucketed by stable
 // fingerprint; the first hit of each bucket is minimised with the ddmin
 // shrinker (re-checking the failing oracle after every removal) and written
@@ -42,6 +43,7 @@
 // Determinism: same arguments => same candidates, same findings, same
 // bucket ids, same reproducer bytes.  CI runs two passes and diffs them.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -220,6 +222,7 @@ int main(int argc, char** argv) {
   long candidates = 0;
   long parse_rejects = 0;
   long engine_rejects = 0;
+  std::map<std::string, long> engine_reject_causes;  // first line of the message -> count
   bool out_of_budget = false;
 
   for (std::uint64_t seed = args.seed_lo; seed <= args.seed_hi && !out_of_budget; ++seed) {
@@ -257,8 +260,10 @@ int main(int argc, char** argv) {
           preflight.jobs = 1;
           preflight.max_iterations = opts.max_iterations;
           (void)hem::cpa::CpaEngine(*system, preflight).run();
-        } catch (const std::exception&) {
+        } catch (const std::exception& e) {
           ++engine_rejects;
+          const std::string what = e.what();
+          ++engine_reject_causes[what.substr(0, what.find('\n'))];
           continue;
         }
       }
@@ -308,5 +313,13 @@ int main(int argc, char** argv) {
             << args.seed_hi << ", " << parse_rejects << " parse reject(s), " << engine_rejects
             << " engine reject(s), " << buckets.size() << " failure bucket(s)"
             << (out_of_budget ? " [budget exhausted]" : "") << "\n";
+  // The rejected candidates reach no oracle; say what they were, most
+  // frequent cause first.
+  std::vector<std::pair<long, std::string>> causes;
+  for (const auto& [what, n] : engine_reject_causes) causes.emplace_back(n, what);
+  std::stable_sort(causes.begin(), causes.end(),
+                   [](const auto& a, const auto& b) { return a.first > b.first; });
+  for (const auto& [n, what] : causes)
+    std::cout << "  engine reject x" << n << ": " << what << "\n";
   return buckets.empty() ? 0 : 1;
 }
