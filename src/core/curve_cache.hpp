@@ -28,6 +28,14 @@
 /// copy) and publish values with a single exchange.  No mutex, no spin —
 /// every operation is wait-free apart from the one-time segment allocation.
 ///
+/// A slot holds the bitwise complement of its value, so an all-zero slot is
+/// unset and a segment needs no initialising pass.  Segments of at least
+/// `kMapBytes` are mapped straight from the kernel, whose fresh pages read
+/// as zero and take memory only once written: a galloping search that
+/// probes a few far indices commits a few pages, not whole segments of up
+/// to 16 MiB, so an analysis's peak memory does not hinge on which node a
+/// divergent busy window happens to query first.
+///
 /// Indices at or beyond `kCapacity` are not stored: `load` reports them
 /// absent and `store` returns `kOverflow`.  Galloping searches probe indices
 /// up to 2^24; bounding the table keeps a divergent probe from committing
@@ -51,6 +59,8 @@ class AtomicCurveCache {
   /// Total slots: kSeg0 * (2^kSegments - 1) ~ 4.2M samples (~33 MB if a
   /// node is ever queried that densely; segments materialise on demand).
   static constexpr std::size_t kCapacity = kSeg0 * ((std::size_t{1} << kSegments) - 1);
+  /// Segments of at least this size are mapped rather than heap-allocated.
+  static constexpr std::size_t kMapBytes = std::size_t{64} << 10;
 
   enum class StoreResult {
     kStored,     ///< first publication of this slot
@@ -60,7 +70,8 @@ class AtomicCurveCache {
 
   AtomicCurveCache() = default;
   ~AtomicCurveCache() {
-    for (auto& seg : segs_) delete[] seg.load(std::memory_order_relaxed);
+    for (std::size_t s = 0; s < kSegments; ++s)
+      release(s, segs_[s].load(std::memory_order_relaxed));
   }
 
   AtomicCurveCache(const AtomicCurveCache&) = delete;
@@ -70,11 +81,12 @@ class AtomicCurveCache {
   [[nodiscard]] Time load(std::size_t idx) const noexcept {
     if (idx >= kCapacity) return kUnset;
     const Pos p = locate(idx);
-    const std::atomic<Time>* seg = segs_[p.seg].load(std::memory_order_acquire);
+    Time* seg = segs_[p.seg].load(std::memory_order_acquire);
     if (seg == nullptr) return kUnset;
     // The slot is the complete payload: a relaxed load either observes
-    // kUnset or a fully published value, never a torn one.
-    return seg[p.off].load(std::memory_order_relaxed);
+    // an unset slot or a fully published value, never a torn one.
+    const Time slot = std::atomic_ref<Time>(seg[p.off]).load(std::memory_order_relaxed);
+    return slot == 0 ? kUnset : ~slot;
   }
 
   /// Publish `value` at `idx`.  Callers must only ever store one value per
@@ -93,9 +105,10 @@ class AtomicCurveCache {
     allocated = false;
     if (idx >= kCapacity) return StoreResult::kOverflow;
     const Pos p = locate(idx);
-    std::atomic<Time>* seg = segment(p.seg, allocated);
-    const Time prev = seg[p.off].exchange(value, std::memory_order_relaxed);
-    return prev == kUnset ? StoreResult::kStored : StoreResult::kDuplicate;
+    Time* seg = segment(p.seg, allocated);
+    const Time prev =
+        std::atomic_ref<Time>(seg[p.off]).exchange(~value, std::memory_order_relaxed);
+    return prev == 0 ? StoreResult::kStored : StoreResult::kDuplicate;
   }
 
   /// Segments this cache has materialised so far (observability).
@@ -122,26 +135,30 @@ class AtomicCurveCache {
 
   /// Get segment `s`, allocating and publishing it if absent; `allocated`
   /// is set iff this call's candidate won the publication race.
-  [[nodiscard]] std::atomic<Time>* segment(std::size_t s, bool& allocated) noexcept {
-    std::atomic<Time>* seg = segs_[s].load(std::memory_order_acquire);
+  [[nodiscard]] Time* segment(std::size_t s, bool& allocated) noexcept {
+    Time* seg = segs_[s].load(std::memory_order_acquire);
     if (seg != nullptr) return seg;
-    const std::size_t size = kSeg0 << s;
-    auto* fresh = new std::atomic<Time>[size];
-    for (std::size_t i = 0; i < size; ++i) fresh[i].store(kUnset, std::memory_order_relaxed);
-    std::atomic<Time>* expected = nullptr;
+    Time* fresh = allocate(s);
+    Time* expected = nullptr;
     // Release publication pairs with the acquire loads above, so readers of
-    // the pointer see fully kUnset-initialised slots.
+    // the pointer see fully zeroed (unset) slots.
     if (segs_[s].compare_exchange_strong(expected, fresh, std::memory_order_release,
                                          std::memory_order_acquire)) {
       allocations_.fetch_add(1, std::memory_order_relaxed);
       allocated = true;
       return fresh;
     }
-    delete[] fresh;  // another thread published first
+    release(s, fresh);  // another thread published first
     return expected;
   }
 
-  mutable std::atomic<std::atomic<Time>*> segs_[kSegments] = {};
+  /// A zeroed (all unset) segment `s`.  Running out of memory terminates:
+  /// the callers are noexcept.
+  [[nodiscard]] static Time* allocate(std::size_t s) noexcept;
+  /// Free segment `s` (null is a no-op).
+  static void release(std::size_t s, Time* seg) noexcept;
+
+  mutable std::atomic<Time*> segs_[kSegments] = {};
   std::atomic<long> allocations_{0};
 };
 

@@ -7,8 +7,10 @@
 // ordering shows up as a data-race report here.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <fstream>
 #include <functional>
 #include <memory>
 #include <thread>
@@ -156,6 +158,36 @@ TEST(AtomicCurveCacheTest, StoreReportsOnlyItsOwnSegmentAllocations) {
   EXPECT_TRUE(allocated);
   EXPECT_EQ(cache.store(100001, 8, allocated), AtomicCurveCache::StoreResult::kStored);
   EXPECT_FALSE(allocated);
+}
+
+/// Resident set of this process in bytes (/proc/self/statm), or -1.
+long resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  long size = 0;
+  long resident = -1;
+  if (!(statm >> size >> resident)) return -1;
+  return resident * sysconf(_SC_PAGESIZE);
+}
+
+TEST(AtomicCurveCacheTest, FarProbesCommitPagesNotWholeSegments) {
+  // A galloping search probes a few far indices, one in each segment up to
+  // the top one (16 MiB).  Committing every probed segment in full made an
+  // analysis's memory hinge on which node a divergent busy window queried
+  // first; only the written pages may count.
+  AtomicCurveCache cache;
+  const long before = resident_bytes();
+  ASSERT_GT(before, 0);
+  std::size_t probes = 0;
+  for (std::size_t idx = 2; idx < AtomicCurveCache::kCapacity; idx *= 2, ++probes)
+    ASSERT_EQ(cache.store(idx, static_cast<Time>(idx)), AtomicCurveCache::StoreResult::kStored);
+  const long grown = resident_bytes() - before;
+  EXPECT_EQ(cache.allocations(), static_cast<long>(AtomicCurveCache::kSegments));
+  EXPECT_LT(grown, 4L << 20) << probes << " probes over " << AtomicCurveCache::kSegments
+                             << " segments";
+  for (std::size_t idx = 2; idx < AtomicCurveCache::kCapacity; idx *= 2) {
+    EXPECT_EQ(cache.load(idx), static_cast<Time>(idx));
+    EXPECT_EQ(cache.load(idx + 1), AtomicCurveCache::kUnset);
+  }
 }
 
 TEST(AtomicCurveCacheTest, ConcurrentFillIsLossless) {
